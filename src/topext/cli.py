@@ -155,6 +155,9 @@ def _cmd_coulomb(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     reports = verify_mod.run(grid=args.grid, only=args.only)
+    if not reports:
+        print(f"verify: --only {args.only!r} matches no example or case", file=sys.stderr)
+        return 2
     if args.format == "records":
         for r in reports:
             print(r.to_record(), file=out)

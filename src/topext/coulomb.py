@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import Bracket, DomainError, bisect, digamma
+from .numerics import Bracket, DomainError, SearchError, bisect, digamma, reject_nan
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -24,31 +24,6 @@ EULER_GAMMA = 0.57721566490153286061
 _S_MIN = 1e-6
 _S_MAX = 1e4
 _POINTS_PER_DECADE = 200
-
-
-class SearchError(RuntimeError):
-    """No sign change found on the scan grid."""
-
-
-@dataclass(frozen=True)
-class CoulombExtension:
-    nu: float
-    alpha: float  # math.inf marks the Friedrichs extension
-
-    def __post_init__(self):
-        if not self.nu > 0:
-            raise DomainError("nu must be positive (repulsive regime)")
-
-
-@dataclass(frozen=True)
-class CoulombSpectrum:
-    eigenvalue: Optional[float]
-    threshold: float
-    essential: tuple = (0.0, math.inf)
-
-    @property
-    def bottom(self) -> float:
-        return self.eigenvalue if self.eigenvalue is not None else 0.0
 
 
 def alpha_threshold(nu: float) -> float:
@@ -92,6 +67,7 @@ def count_sign_changes(nu: float, alpha: float) -> int:
 def coulomb_eigenvalue(nu: float, alpha: float) -> Optional[float]:
     """The unique negative root E of F_nu(E) = alpha when alpha < alpha_nu,
     None otherwise.  Root residual |F_nu(E) - alpha| <= 1e-10."""
+    reject_nan(nu=nu, alpha=alpha)
     if not nu > 0:
         raise DomainError("nu must be positive")
     if alpha >= alpha_threshold(nu):
@@ -126,6 +102,7 @@ class Classification:
 def classify_coulomb(nu: float, alpha: float) -> Classification:
     """Top iff alpha >= alpha_nu (boundary inclusive; alpha = inf is the
     Friedrichs extension and always Top)."""
+    reject_nan(nu=nu, alpha=alpha)
     threshold = alpha_threshold(nu)
     if math.isinf(alpha) and alpha > 0:
         return Classification(top=True, bottom=0.0, threshold=threshold)
@@ -133,8 +110,3 @@ def classify_coulomb(nu: float, alpha: float) -> Classification:
         return Classification(top=True, bottom=0.0, threshold=threshold)
     E = coulomb_eigenvalue(nu, alpha)
     return Classification(top=False, bottom=E, threshold=threshold)
-
-
-def coulomb_spectrum(nu: float, alpha: float) -> CoulombSpectrum:
-    return CoulombSpectrum(eigenvalue=coulomb_eigenvalue(nu, alpha),
-                           threshold=alpha_threshold(nu))

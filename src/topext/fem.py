@@ -8,13 +8,11 @@ integration by parts.  Discrete bottoms over-estimate the analytic ones
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
-from . import interval
 from .numerics import DomainError, eig_sym
 from .interval import BoundaryCondition
 
@@ -48,15 +46,6 @@ class DiscreteOperator:
     @property
     def dim(self) -> int:
         return self.stiffness.shape[0]
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    analytic_bottom: float
-    discrete_bottom: float
-    abs_error: float
-    grid: int
-    convergence_order: float
 
 
 def _free_matrices(n: int):
@@ -124,32 +113,5 @@ def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     return eig_sym(op.stiffness, op.mass, k)
 
 
-def form_value(op: DiscreteOperator, u: np.ndarray) -> float:
-    """Quadratic form u^T K u of a coefficient vector (boundary terms included)."""
-    u = np.asarray(u, dtype=float)
-    return float(u @ op.stiffness @ u)
-
-
 def discrete_bottom(n: int, bc: BCSpec) -> float:
     return float(lowest_eigenvalues(assemble(n, bc), 1)[0])
-
-
-def verify_interval(b: float, n: int = 2000, k: int = 6) -> OracleReport:
-    """Compare the FEM bottom for the b-family boundary condition against
-    the analytic secular bottom; estimate the order from grids n and 2n."""
-    analytic = interval.spectrum(interval.b_to_t(b), cutoff=200.0).bottom
-    d_n = discrete_bottom(n, AntiPeriodicRobin(b))
-    d_2n = discrete_bottom(2 * n, AntiPeriodicRobin(b))
-    e_n = abs(d_n - analytic)
-    e_2n = abs(d_2n - analytic)
-    if e_n > 0 and e_2n > 0:
-        order = math.log2(e_n / e_2n)
-    else:
-        order = math.nan  # both grids already at solver accuracy
-    return OracleReport(
-        analytic_bottom=analytic,
-        discrete_bottom=d_n,
-        abs_error=e_n,
-        grid=n,
-        convergence_order=order,
-    )

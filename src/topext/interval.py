@@ -19,7 +19,8 @@ from typing import Callable, List
 
 import numpy as np
 
-from .numerics import Bracket, DomainError, QuadratureRule, bisect, integrate
+from .numerics import (Bracket, DomainError, QuadratureRule, SearchError, bisect,
+                       integrate, reject_nan)
 from .kvb import DeficiencyModel
 
 M_S = math.pi ** 2
@@ -29,16 +30,8 @@ class PoleError(ArithmeticError):
     """Evaluation too close to a genuine singularity of F."""
 
 
-class SearchError(RuntimeError):
-    """A bracket scan exhausted its budget."""
-
-
 class ConvergenceError(ArithmeticError):
     """Eigenfunction-series truncation misses the tail tolerance."""
-
-
-class PreconditionError(ValueError):
-    """A sampled function violates a required boundary condition."""
 
 
 @dataclass(frozen=True)
@@ -74,16 +67,6 @@ class BoundaryCondition:
 
 
 @dataclass(frozen=True)
-class SecularFunction:
-    """F at a fixed extension level t; roots of F = t are eigenvalues."""
-
-    t: float
-
-    def shifted(self, lam: float) -> float:
-        return secular_F(lam) - self.t
-
-
-@dataclass(frozen=True)
 class IntervalSpectrum:
     """Eigenvalues below the cutoff, split into the common sin family and
     the t-dependent secular roots."""
@@ -91,11 +74,6 @@ class IntervalSpectrum:
     sin_family: List[float]
     secular_roots: List[float]
     bottom: float
-
-
-def sf_inverse_on_kernel(a: complex, b: complex) -> np.ndarray:
-    """Cubic coefficients (ascending) of S_F^{-1}(a + b x)."""
-    return np.array([0.0, a / 2.0 + b / 6.0, -a / 2.0, -b / 6.0])
 
 
 def resolvent_at_bottom() -> Callable[[float], float]:
@@ -111,13 +89,6 @@ def _gram_from_quadrature() -> np.ndarray:
         for j, uj in enumerate(basis):
             g[i, j] = integrate(lambda x: ui(x) * uj(x), 0.0, 1.0, rule)
     return 0.5 * (g + g.T)
-
-
-def even_mode_coefficient(n: int) -> float:
-    """<1 - 2x, sqrt(2) sin(n pi x)>: 2 sqrt(2)/(n pi) for even n, 0 odd."""
-    if n % 2 == 1:
-        return 0.0
-    return 2.0 * math.sqrt(2.0) / (n * math.pi)
 
 
 @lru_cache(maxsize=8)
@@ -150,10 +121,6 @@ def deficiency_model(terms: int = 10_000, tail_tol: float = 1e-8) -> DeficiencyM
 
 def b_to_t(b: float) -> float:
     return 3.0 * b + 12.0
-
-
-def t_to_b(t: float) -> float:
-    return (t - 12.0) / 3.0
 
 
 def secular_F(lam: float) -> float:
@@ -197,13 +164,13 @@ def _root_in_first_interval(t: float, tol: float = 1e-12) -> float:
         lo *= 4.0
         if lo < -1e12:
             raise SearchError("negative-branch bracket scan exhausted")
-    f = SecularFunction(t).shifted
+    f = lambda lam: secular_F(lam) - t
     return bisect(f, Bracket.from_function(f, lo, hi), tol)
 
 
 def _root_in_interval(k: int, t: float, tol: float = 1e-12) -> float:
     a, b = _singularity(k), _singularity(k + 1)
-    f = SecularFunction(t).shifted
+    f = lambda lam: secular_F(lam) - t
     delta = 1e-6
     while True:
         lo, hi = a + delta, b - delta
@@ -216,6 +183,7 @@ def _root_in_interval(k: int, t: float, tol: float = 1e-12) -> float:
 
 def spectrum(t: float, cutoff: float = 200.0) -> IntervalSpectrum:
     """Eigenvalues of the extension at level t up to the cutoff."""
+    reject_nan(t=t)
     if not cutoff > 0:
         raise DomainError("cutoff must be positive")
     sin_family = []
@@ -244,60 +212,5 @@ class Classification:
 
 def classify(b: float) -> Classification:
     """Top iff b >= 0, i.e. t = 3b + 12 >= t_q = 12."""
+    reject_nan(b=b)
     return Classification(top=b >= 0.0, t=b_to_t(b), margin=b)
-
-
-def named_extension_spectrum(name: str, cutoff: float = 200.0) -> IntervalSpectrum:
-    """Closed-form spectra of the periodic, anti-periodic, and Dirichlet
-    extensions.  Bottoms: 0, pi^2, pi^2."""
-    odd = []
-    n = 0
-    while (2 * n + 1) ** 2 * math.pi ** 2 <= cutoff:
-        odd.append((2 * n + 1) ** 2 * math.pi ** 2)
-        n += 1
-    if name == "Periodic":
-        rest = [v for v in ((2 * n) ** 2 * math.pi ** 2 for n in range(0, 1000))
-                if v <= cutoff]
-        bottom = 0.0
-    elif name == "AntiPeriodic":
-        rest = list(odd)  # each odd square is doubly degenerate
-        bottom = math.pi ** 2
-    elif name == "Dirichlet":
-        rest = [v for v in ((2 * n) ** 2 * math.pi ** 2 for n in range(1, 1000))
-                if v <= cutoff]
-        bottom = math.pi ** 2
-    else:
-        raise DomainError(f"unknown named extension {name!r}")
-    return IntervalSpectrum(sin_family=odd, secular_roots=sorted(rest), bottom=bottom)
-
-
-def domain_vector(t: float, alpha: complex, beta: complex) -> np.ndarray:
-    """Ascending cubic coefficients of the explicit polynomial part g - f
-    of a domain element, for the parameter level t."""
-    return np.array([
-        alpha,
-        (t * alpha + 3.0 * beta) / 6.0 - 2.0 * alpha,
-        -(t * alpha + beta) / 2.0,
-        t * alpha / 3.0,
-    ])
-
-
-def poly_value(coeffs: np.ndarray, x: float) -> complex:
-    return sum(c * x ** k for k, c in enumerate(coeffs))
-
-
-def poly_derivative(coeffs: np.ndarray, x: float) -> complex:
-    return sum(k * c * x ** (k - 1) for k, c in enumerate(coeffs) if k >= 1)
-
-
-def form_value_direct(g: Callable[[float], float], gprime: Callable[[float], float],
-                      b: float, rule: QuadratureRule | None = None,
-                      bc_tol: float = 1e-8) -> float:
-    """Quadratic form int |g'|^2 + b |g(0)|^2 by quadrature, for g obeying
-    g(0) + g(1) = 0 and g'(0) + g'(1) = b g(0) within bc_tol."""
-    if abs(g(0.0) + g(1.0)) > bc_tol:
-        raise PreconditionError("g(0) + g(1) = 0 violated")
-    if abs(gprime(0.0) + gprime(1.0) - b * g(0.0)) > bc_tol:
-        raise PreconditionError("g'(0) + g'(1) = b g(0) violated")
-    rule = rule or QuadratureRule.gauss(panels=64, nodes=10)
-    return integrate(lambda x: abs(gprime(x)) ** 2, 0.0, 1.0, rule) + b * abs(g(0.0)) ** 2

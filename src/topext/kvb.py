@@ -220,17 +220,3 @@ def variational_sup_check(A: np.ndarray, h: np.ndarray, samples: int = 1000,
     ratios = num / den
     sup_estimate = float(max(ratios.max(initial=0.0), closed_form))
     return sup_estimate, closed_form
-
-
-def form_decomposition_value(S_F_form_of_f: float, T: ExtensionParameter,
-                             v: np.ndarray, tol: float = 1e-10) -> float:
-    """Value S_T[f + v] = S_F[f] + <v, T v> for v in span(D(T))."""
-    v = np.asarray(v, dtype=float).reshape(-1, 1)
-    if T.is_friedrichs:
-        if np.any(np.abs(v) > tol):
-            raise DomainError("the Friedrichs parameter admits only v = 0")
-        return float(S_F_form_of_f)
-    C, included = _express(v, T.domain_basis, tol)
-    if not included:
-        raise DomainError("v lies outside span(D(T))")
-    return float(S_F_form_of_f + (C.T @ T.T_matrix @ C)[0, 0])

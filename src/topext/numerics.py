@@ -31,6 +31,17 @@ class FactorizationError(ArithmeticError):
     """A matrix factorization failed (e.g. Cholesky of a non-PD matrix)."""
 
 
+class SearchError(RuntimeError):
+    """A root search exhausted its budget or missed its residual tolerance."""
+
+
+def reject_nan(**args: float) -> None:
+    """Raise DomainError naming the first keyword argument that is NaN."""
+    for name, value in args.items():
+        if math.isnan(value):
+            raise DomainError(f"{name} is nan; a number is required")
+
+
 @dataclass(frozen=True)
 class Bracket:
     """An interval [lo, hi] with opposite function signs at the ends."""
@@ -78,31 +89,20 @@ def bisect(f: Callable[[float], float], b: Bracket, tol: float = 1e-12) -> float
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite quadrature rule: Gauss-Legendre or Simpson panels."""
+    """Composite Gauss-Legendre rule: `nodes` points on each of `panels` panels."""
 
-    kind: str  # "gauss-legendre" | "simpson"
     panels: int
     nodes: int
 
     def __post_init__(self):
         if self.panels < 1:
             raise DomainError("panels must be >= 1")
-        if self.kind == "gauss-legendre":
-            if not 2 <= self.nodes <= 16:
-                raise DomainError("gauss-legendre needs 2..16 nodes per panel")
-        elif self.kind == "simpson":
-            if self.nodes != 3:
-                raise DomainError("simpson uses exactly 3 nodes per panel")
-        else:
-            raise DomainError(f"unknown rule kind {self.kind!r}")
+        if not 2 <= self.nodes <= 16:
+            raise DomainError("gauss-legendre needs 2..16 nodes per panel")
 
     @classmethod
     def gauss(cls, panels: int = 64, nodes: int = 10) -> "QuadratureRule":
-        return cls("gauss-legendre", panels, nodes)
-
-    @classmethod
-    def simpson(cls, panels: int = 256) -> "QuadratureRule":
-        return cls("simpson", panels, 3)
+        return cls(panels, nodes)
 
 
 @lru_cache(maxsize=32)
@@ -113,28 +113,21 @@ def _leggauss(nodes: int):
 
 def integrate(f: Callable[[float], float], a: float, b: float,
               rule: Optional[QuadratureRule] = None) -> float:
-    """Composite quadrature of f over [a, b]. Deterministic for a fixed rule."""
+    """Composite Gauss-Legendre quadrature of f over [a, b]."""
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
     rule = rule or QuadratureRule.gauss()
     edges = np.linspace(a, b, rule.panels + 1)
     total = 0.0
-    if rule.kind == "gauss-legendre":
-        x, w = _leggauss(rule.nodes)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            for xi, wi in zip(x, w):
-                val = f(mid + half * xi)
-                if not math.isfinite(val):
-                    raise EvaluationError(f"integrand not finite at x={mid + half * xi}")
-                total += half * wi * val
-    else:  # simpson
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            samples = [f(lo), f(0.5 * (lo + hi)), f(hi)]
-            if not all(math.isfinite(v) for v in samples):
-                raise EvaluationError("integrand not finite on a simpson panel")
-            total += (hi - lo) / 6.0 * (samples[0] + 4.0 * samples[1] + samples[2])
+    x, w = _leggauss(rule.nodes)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        for xi, wi in zip(x, w):
+            val = f(mid + half * xi)
+            if not math.isfinite(val):
+                raise EvaluationError(f"integrand not finite at x={mid + half * xi}")
+            total += half * wi * val
     return total
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import DomainError, QuadratureRule, integrate
+from .numerics import DomainError, QuadratureRule, integrate, reject_nan
 from .kvb import DeficiencyModel, ExtensionParameter
 
 FRIEDRICHS = math.inf
@@ -64,17 +64,6 @@ def deficiency_model_point() -> DeficiencyModel:
 
 
 @dataclass(frozen=True)
-class AlphaParameter:
-    """Physical coupling; alpha = inf marks the Friedrichs extension."""
-
-    alpha: float
-
-    @property
-    def is_friedrichs(self) -> bool:
-        return math.isinf(self.alpha) and self.alpha > 0
-
-
-@dataclass(frozen=True)
 class PointSpectrum:
     eigenvalue: Optional[float]
     essential: tuple = (0.0, math.inf)
@@ -90,10 +79,6 @@ def alpha_to_t(alpha: float) -> float:
     return 8.0 * math.pi * alpha + 2.0
 
 
-def t_to_alpha(t: float) -> float:
-    return (t - 2.0) / (8.0 * math.pi)
-
-
 def extension_parameter(alpha: float) -> ExtensionParameter:
     """kvb parameter for the coupling alpha (Friedrichs marker for inf)."""
     if math.isinf(alpha) and alpha > 0:
@@ -105,6 +90,7 @@ def extension_parameter(alpha: float) -> ExtensionParameter:
 def point_spectrum(alpha: float) -> PointSpectrum:
     """Negative eigenvalue -(4 pi alpha)^2 iff alpha < 0; essential
     spectrum [0, inf) always."""
+    reject_nan(alpha=alpha)
     if alpha < 0:
         return PointSpectrum(eigenvalue=-(4.0 * math.pi * alpha) ** 2)
     return PointSpectrum(eigenvalue=None)
@@ -119,5 +105,6 @@ class Classification:
 def classify_point(alpha: float) -> Classification:
     """Top iff alpha >= 0 (Friedrichs included): those extensions keep the
     unshifted bottom 0."""
+    reject_nan(alpha=alpha)
     spec = point_spectrum(alpha) if not math.isinf(alpha) else PointSpectrum(None)
     return Classification(top=alpha >= 0.0, bottom=spec.bottom)

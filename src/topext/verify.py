@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import coulomb, fem, interval, kvb, point
-from .numerics import QuadratureRule, integrate
+from .numerics import QuadratureRule, digamma, integrate
 
 PI2 = math.pi ** 2
 
@@ -158,20 +158,17 @@ def case_variational(matrices: int = 200, samples: int = 500, dim: int = 5,
                      seed: int = 1234) -> Report:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    ok = True
     for i in range(matrices):
         B = rng.standard_normal((dim, dim))
         A = B @ B.T + dim * np.eye(dim)
         h = rng.standard_normal(dim)
         sup, closed = kvb.variational_sup_check(A, h, samples=samples, seed=seed + i)
-        excess = (sup - closed) / closed
-        worst = max(worst, excess)
-        if excess > SUP_REL_TOL:
-            ok = False
+        worst = max(worst, abs(sup - closed) / closed)
     return Report(
         case="variational-sup", example="abstract",
         parameters={"matrices": matrices, "samples": samples},
-        passed=ok, detail=f"worst relative excess {worst!r}")
+        passed=worst <= SUP_REL_TOL,
+        detail=f"two-sided: worst |sup - closed| / closed = {worst!r}")
 
 
 def interval_t_grid_bottoms():
@@ -196,16 +193,21 @@ def case_ordering() -> Report:
 
 def case_krein() -> Report:
     ts, bottoms = interval_t_grid_bottoms()
+    model = interval.deficiency_model()
+    mus = np.linspace(-150.0, PI2, 41)[:-1].tolist()
     ok = True
+    agree = 0
     for t, bottom in zip(ts, bottoms):
-        if t <= 0:
-            continue
-        lower = kvb.krein_bound(PI2, float(t))
-        if not (lower - 1e-9 <= bottom <= t + 1e-9):
+        if t > 0 and not (kvb.krein_bound(PI2, float(t)) - 1e-9 <= bottom <= t + 1e-9):
             ok = False
+        # mu-criterion: m(S_T) >= mu read off the parameter T alone
+        T = kvb.ExtensionParameter.scalar(float(t), model.V_basis, model.gram)
+        agree += sum(kvb.mu_criterion(T, model, mu) == (bottom >= mu) for mu in mus)
+    pairs = len(ts) * len(mus)
     return Report(
-        case="krein-bound", example="interval", m_S=PI2, passed=ok,
-        detail="krein_bound(pi^2, t) <= bottom(S_t) <= t on the positive t grid")
+        case="krein-bound", example="interval", m_S=PI2, passed=ok and agree == pairs,
+        detail="krein_bound(pi^2, t) <= bottom(S_t) <= t on the positive t grid; "
+               f"mu_criterion(T_t, mu) == (bottom >= mu) on {agree} of {pairs} (t, mu)")
 
 
 def cases_point() -> List[Report]:
@@ -235,7 +237,8 @@ def cases_point() -> List[Report]:
 
 def cases_coulomb() -> List[Report]:
     reports = []
-    limit_ok = True
+    digamma_gap = abs(digamma(1.0) + coulomb.EULER_GAMMA)
+    limit_ok = digamma_gap <= 1e-12
     worst = 0.0
     for nu in (0.5, 1.0, 2.0, 5.0):
         gap = abs(coulomb.script_F(nu, -1e-10) - coulomb.alpha_threshold(nu))
@@ -244,7 +247,8 @@ def cases_coulomb() -> List[Report]:
             limit_ok = False
     reports.append(Report(
         case="coulomb-threshold-limit", example="coulomb", passed=limit_ok,
-        detail=f"worst |F(-1e-10) - alpha_nu| = {worst!r}"))
+        detail=f"|digamma(1) + gamma| = {digamma_gap!r}; "
+               f"worst |F(-1e-10) - alpha_nu| = {worst!r}"))
 
     pairs = [(nu, coulomb.alpha_threshold(nu) - d)
              for nu in (0.5, 1.0, 2.0, 5.0, 10.0) for d in (0.1, 1.0)]
@@ -257,14 +261,14 @@ def cases_coulomb() -> List[Report]:
         if coulomb.count_sign_changes(nu, alpha) != 1:
             root_ok = False
     for nu in (0.5, 1.0, 2.0):
-        if coulomb.coulomb_eigenvalue(nu, coulomb.alpha_threshold(nu)) is not None:
-            root_ok = False
-        if coulomb.coulomb_eigenvalue(nu, 1e6) is not None:
-            root_ok = False
+        threshold = coulomb.alpha_threshold(nu)
+        for alpha in (threshold, threshold + 1.0, 1e6):
+            if coulomb.coulomb_eigenvalue(nu, alpha) is not None:
+                root_ok = False
     reports.append(Report(
         case="coulomb-roots", example="coulomb", passed=root_ok,
         detail="10 below-threshold pairs: residual <= 1e-10, unique sign change; "
-               "no root at or above threshold"))
+               "no root at alpha_nu, alpha_nu + 1 or 1e6"))
     return reports
 
 

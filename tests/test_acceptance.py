@@ -1,19 +1,41 @@
-"""Acceptance gate: the full claim matrix at its pinned tolerances.
+"""Acceptance gate: the claim matrix of `topext verify` at pinned tolerances.
 
-Each test checks one numbered criterion and prints a single pass/fail
-line (run pytest with -s to see them).  Tolerances are fixed here and
-must not be loosened to make a failing criterion pass.
+One verification pass runs once per module; each test asserts one numbered
+criterion on its records and prints a single pass/fail line (run pytest
+with -s to see them).  The tolerances are literals here, pinned against
+the constants in `topext.verify`; they must not be loosened to make a
+failing criterion pass.
 """
 import math
 
-import numpy as np
+import pytest
 
-from topext import coulomb, fem, interval, kvb, point
-from topext.interval import BoundaryCondition
-from topext.numerics import QuadratureRule, digamma, integrate
+from topext import verify
 
 PI2 = math.pi ** 2
-EULER_GAMMA = 0.57721566490153286061
+
+# pinned copies of the tolerance constants in topext.verify
+TQ_TOL = 1e-6
+QV_TOL = 1e-8
+ROOT_TOL = 1e-10
+ORACLE_REL_TOL = 5e-3
+PERIODIC_ABS_TOL = 1e-8
+ORDER_WINDOW = 0.2
+SUP_REL_TOL = 1e-12
+COULOMB_LIMIT_TOL = 1e-4
+COULOMB_RESIDUAL_TOL = 1e-10
+
+CLASSIFY_BS = (-4.0, -1.0, -0.25, 0.0, 0.5, 5.0, 50.0)
+POINT_ALPHAS = (-1.0, -1.0 / (4.0 * math.pi), -1e-3, 0.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def records():
+    # assert on the records as `topext verify --format records` emits them
+    reports = [verify.Report.from_record(r.to_record()) for r in verify.run(grid=2000)]
+    by_case = {r.case: r for r in reports}
+    assert len(by_case) == len(reports) == 26
+    return by_case
 
 
 def report(number: int, label: str, ok: bool) -> None:
@@ -21,142 +43,95 @@ def report(number: int, label: str, ok: bool) -> None:
     assert ok, f"criterion {number}: {label}"
 
 
-def test_criterion_01_interval_tq():
-    tq = kvb.build_q(interval.deficiency_model(terms=10_000))
-    res = interval.resolvent_at_bottom()
-    rule = QuadratureRule.gauss(panels=64, nodes=10)
-    q_v = (PI2 * integrate(lambda x: (1.0 - 2.0 * x) ** 2, 0.0, 1.0, rule)
-           + PI2 ** 2 * integrate(lambda x: (1.0 - 2.0 * x) * res(x), 0.0, 1.0, rule))
-    ok = abs(tq.t_q_scalar - 12.0) <= 1e-6 and abs(q_v - 4.0) <= 1e-8
+def test_tolerances_pinned():
+    pinned = {"TQ_TOL": TQ_TOL, "QV_TOL": QV_TOL, "ROOT_TOL": ROOT_TOL,
+              "ORACLE_REL_TOL": ORACLE_REL_TOL, "PERIODIC_ABS_TOL": PERIODIC_ABS_TOL,
+              "ORDER_WINDOW": ORDER_WINDOW, "SUP_REL_TOL": SUP_REL_TOL,
+              "COULOMB_LIMIT_TOL": COULOMB_LIMIT_TOL,
+              "COULOMB_RESIDUAL_TOL": COULOMB_RESIDUAL_TOL}
+    drift = {name: getattr(verify, name) for name, value in pinned.items()
+             if getattr(verify, name) != value}
+    assert not drift, f"verify tolerances differ from the pinned literals: {drift}"
+
+
+def test_criterion_01_interval_tq(records):
+    r = records["interval-tq"]
+    ok = (r.passed and r.classification == "Top"
+          and abs(r.t_q - 12.0) <= TQ_TOL and r.bottom_analytic == PI2)
     report(1, "interval form level 12 (series) and q-value 4 (resolvent)", ok)
 
 
-def test_criterion_02_point_tq():
-    model = point.deficiency_model_point()
-    tq = kvb.build_q(model)
-    gram = float(model.gram[0, 0])
-    reg = float(model.weighted_gram(1.0)[0, 0])
-    ok = (abs(tq.t_q_scalar - 2.0) <= 1e-6
-          and abs(gram - PI2) <= 1e-8
-          and abs(reg - PI2) <= 1e-8)
+def test_criterion_02_point_tq(records):
+    r = records["point-tq"]
+    ok = r.passed and r.classification == "Top" and abs(r.t_q - 2.0) <= TQ_TOL
     report(2, "point-interaction form level 2, both integrals pi^2", ok)
 
 
-def test_criterion_03_secular_consistency():
-    exact = interval.secular_F(PI2) == 12.0
-    root = interval.spectrum(12.0, cutoff=50.0).secular_roots[0]
-    ok = exact and abs(root - PI2) <= 1e-10
+def test_criterion_03_secular_consistency(records):
+    r = records["interval-secular"]
+    ok = r.passed and r.classification == "Top" and r.bottom_analytic == PI2
     report(3, "F(pi^2) = 12 exactly; first root of F = 12 is pi^2", ok)
 
 
-def test_criterion_04_classification_boundary():
+def test_criterion_04_classification_boundary(records):
     ok = True
-    for b in (-4.0, -1.0, -0.25, 0.0, 0.5, 5.0, 50.0):
-        cls = interval.classify(b)
-        analytic = interval.spectrum(cls.t, cutoff=200.0).bottom
-        discrete = fem.discrete_bottom(2000, fem.AntiPeriodicRobin(b))
-        if cls.top != (b >= 0.0):
-            ok = False
-        if abs(discrete - analytic) > 5e-3 * max(abs(analytic), 1.0):
-            ok = False
-        if b < 0.0 and not discrete < PI2:
-            ok = False
+    for b in CLASSIFY_BS:
+        r = records[f"interval-classify-b={b:g}"]
+        ok = (ok and r.passed and r.t_q == 12.0
+              and r.classification == ("Top" if b >= 0.0 else "NotTop")
+              and r.abs_error == abs(r.bottom_oracle - r.bottom_analytic)
+              and r.abs_error <= ORACLE_REL_TOL * max(abs(r.bottom_analytic), 1.0)
+              and (b >= 0.0 or r.bottom_oracle < PI2))
     report(4, "classify boundary at b = 0; oracle bottoms match on 7 b's", ok)
 
 
-def test_criterion_05_named_spectra():
-    d = fem.discrete_bottom(2000, BoundaryCondition.dirichlet())
-    p = fem.discrete_bottom(2000, fem.Periodic())
-    a = fem.discrete_bottom(2000, fem.AntiPeriodicRobin(0.0))
-    ok = (abs(d - PI2) <= 5e-3 * PI2
-          and abs(p) <= 1e-8
-          and abs(a - PI2) <= 5e-3 * PI2)
+def test_criterion_05_named_spectra(records):
+    d, p, a = (records[f"named-{name}"] for name in ("dirichlet", "periodic", "antiperiodic"))
+    ok = (all(r.passed for r in (d, p, a))
+          and (d.classification, p.classification, a.classification)
+          == ("Friedrichs", "NotTop", "Top")
+          and abs(d.bottom_oracle - PI2) <= ORACLE_REL_TOL * PI2
+          and abs(p.bottom_oracle) <= PERIODIC_ABS_TOL
+          and abs(a.bottom_oracle - PI2) <= ORACLE_REL_TOL * PI2)
     report(5, "Dirichlet/periodic/anti-periodic oracle bottoms", ok)
 
 
-def test_criterion_06_fem_convergence():
+def test_criterion_06_fem_convergence(records):
     ok = True
-    for bc in (BoundaryCondition.dirichlet(), fem.AntiPeriodicRobin(0.0)):
-        e_500 = abs(fem.discrete_bottom(500, bc) - PI2)
-        e_1000 = abs(fem.discrete_bottom(1000, bc) - PI2)
-        order = math.log2(e_500 / e_1000)
-        if abs(order - 2.0) > 0.2:
-            ok = False
+    for name in ("dirichlet", "antiperiodic"):
+        r = records[f"convergence-{name}"]
+        ok = ok and r.passed and abs(r.parameters["order"] - 2.0) <= ORDER_WINDOW
     report(6, "oracle converges at order 2.0 +/- 0.2 (n = 500 vs 1000)", ok)
 
 
-def test_criterion_07_variational_identity():
-    rng = np.random.default_rng(20240817)
-    ok = True
-    for i in range(200):
-        B = rng.standard_normal((5, 5))
-        A = B @ B.T + 5.0 * np.eye(5)
-        h = rng.standard_normal(5)
-        sup, closed = kvb.variational_sup_check(A, h, samples=500, seed=i)
-        if not (closed * (1.0 - 1e-12) <= sup <= closed * (1.0 + 1e-12)):
-            ok = False
+def test_criterion_07_variational_identity(records):
+    r = records["variational-sup"]
+    ok = r.passed and r.parameters["matrices"] == 200
     report(7, "sup |<f,h>|^2/<f,Af> = <h,A^-1 h> on 200 random cases", ok)
 
 
-def _t_grid_bottoms():
-    ts = np.linspace(-50.0, 300.0, 50)
-    return ts, [interval.spectrum(float(t), cutoff=200.0).bottom for t in ts]
-
-
-def test_criterion_08_ordering_monotonicity():
-    ts, bottoms = _t_grid_bottoms()
-    ok = all(b2 >= b1 - 1e-9 for b1, b2 in zip(bottoms, bottoms[1:]))
-    for model, m_S in ((interval.deficiency_model(), PI2),
-                       (point.deficiency_model_point(), 1.0)):
-        vals = [float(model.weighted_gram(float(mu))[0, 0])
-                for mu in np.linspace(0.0, m_S, 20)]
-        ok = ok and all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
+def test_criterion_08_ordering_monotonicity(records):
+    ok = records["ordering-monotonicity"].passed
     report(8, "bottom nondecreasing in t; weighted entries nondecreasing in mu", ok)
 
 
-def test_criterion_09_point_spectra():
+def test_criterion_09_point_spectra(records):
     ok = True
-    for alpha in (-1.0, -1.0 / (4.0 * math.pi), -1e-3):
-        if point.point_spectrum(alpha).eigenvalue != -(4.0 * math.pi * alpha) ** 2:
-            ok = False
-    for alpha in (0.0, 1.0):
-        if point.point_spectrum(alpha).eigenvalue is not None:
-            ok = False
-    tq = kvb.build_q(point.deficiency_model_point())
-    for alpha in np.linspace(-1.0, 1.0, 21):
-        T = point.extension_parameter(float(alpha))
-        if kvb.is_top_extension(T, tq) != point.classify_point(float(alpha)).top:
-            ok = False
+    for alpha in POINT_ALPHAS:
+        r = records[f"point-spectrum-alpha={alpha:g}"]
+        expected = -(4.0 * math.pi * alpha) ** 2 if alpha < 0.0 else 0.0
+        ok = (ok and r.passed and r.bottom_analytic == expected
+              and r.classification == ("Top" if alpha >= 0.0 else "NotTop"))
+    grid = records["point-classify-grid"]
+    ok = ok and grid.passed and abs(grid.t_q - 2.0) <= TQ_TOL
     report(9, "point eigenvalue -(4 pi a)^2 iff a < 0; classifiers agree", ok)
 
 
-def test_criterion_10_coulomb():
-    ok = abs(digamma(1.0) + EULER_GAMMA) <= 1e-12
-    for nu in (0.5, 1.0, 2.0, 5.0):
-        if abs(coulomb.script_F(nu, -1e-10) - coulomb.alpha_threshold(nu)) > 1e-4:
-            ok = False
-    pairs = [(nu, coulomb.alpha_threshold(nu) - d)
-             for nu in (0.5, 1.0, 2.0, 5.0, 10.0) for d in (0.1, 1.0)]
-    for nu, alpha in pairs:
-        E = coulomb.coulomb_eigenvalue(nu, alpha)
-        if E is None or abs(coulomb.script_F(nu, E) - alpha) > 1e-10:
-            ok = False
-        if coulomb.count_sign_changes(nu, alpha) != 1:
-            ok = False
-    for nu in (0.5, 1.0, 2.0):
-        if coulomb.coulomb_eigenvalue(nu, coulomb.alpha_threshold(nu)) is not None:
-            ok = False
-        if coulomb.coulomb_eigenvalue(nu, coulomb.alpha_threshold(nu) + 1.0) is not None:
-            ok = False
+def test_criterion_10_coulomb(records):
+    ok = records["coulomb-threshold-limit"].passed and records["coulomb-roots"].passed
     report(10, "Coulomb threshold limit, root residuals, unique sign change", ok)
 
 
-def test_criterion_11_krein_bound():
-    ts, bottoms = _t_grid_bottoms()
-    ok = True
-    for t, bottom in zip(ts, bottoms):
-        if t <= 0.0:
-            continue
-        if not (kvb.krein_bound(PI2, float(t)) - 1e-9 <= bottom <= t + 1e-9):
-            ok = False
-    report(11, "krein_bound(pi^2, t) <= bottom <= t on the positive t grid", ok)
+def test_criterion_11_krein_bound(records):
+    ok = records["krein-bound"].passed
+    report(11, "krein_bound(pi^2, t) <= bottom <= t; mu-criterion matches bottoms", ok)

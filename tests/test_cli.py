@@ -158,6 +158,29 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert lines and all(l.startswith("PASS") for l in lines)
 
+    def test_only_matches_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--grid", "200",
+                                 "--only", "nothing")
+        assert code == 2
+        assert out == ""
+        assert "--only 'nothing'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("interval", "classify", "--b", "nan"),
+    ("interval", "spectrum", "--t", "nan"),
+    ("point", "classify", "--alpha", "nan"),
+    ("point", "spectrum", "--alpha", "nan"),
+    ("coulomb", "classify", "--nu", "1", "--alpha", "nan"),
+    ("coulomb", "classify", "--nu", "nan", "--alpha", "0"),
+    ("coulomb", "eigenvalue", "--nu", "1", "--alpha", "nan"),
+])
+def test_nan_input_is_a_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "nan" in err
+
 
 class TestUsageErrors:
     def test_missing_subcommand(self, capsys):

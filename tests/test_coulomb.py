@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from topext import coulomb
+from topext import coulomb, interval, numerics
 from topext.coulomb import (
-    CoulombExtension,
     SearchError,
     alpha_threshold,
     classify_coulomb,
     coulomb_eigenvalue,
-    coulomb_spectrum,
     count_sign_changes,
     script_F,
 )
@@ -95,6 +93,10 @@ class TestEigenvalue:
         energies = [coulomb_eigenvalue(nu, float(a)) for a in alphas]
         assert all(e2 > e1 for e1, e2 in zip(energies, energies[1:]))
 
+    def test_search_error_is_shared(self):
+        # one class: callers may catch it through any of the three modules
+        assert SearchError is interval.SearchError is numerics.SearchError
+
     def test_deep_coupling(self):
         nu = 1.0
         E = coulomb_eigenvalue(nu, alpha_threshold(nu) - 50.0)
@@ -117,18 +119,3 @@ class TestClassify:
         nu, alpha = 2.0, alpha_threshold(2.0) - 0.3
         cls = classify_coulomb(nu, alpha)
         assert cls.bottom == coulomb_eigenvalue(nu, alpha)
-
-    def test_spectrum_wrapper(self):
-        spec = coulomb_spectrum(1.0, alpha_threshold(1.0) - 1.0)
-        assert spec.eigenvalue < 0.0
-        assert spec.threshold == alpha_threshold(1.0)
-        assert spec.essential == (0.0, math.inf)
-        assert coulomb_spectrum(1.0, 10.0).bottom == 0.0
-
-
-class TestExtensionRecord:
-    def test_validation(self):
-        CoulombExtension(1.0, 0.5)
-        CoulombExtension(1.0, math.inf)
-        with pytest.raises(DomainError):
-            CoulombExtension(0.0, 0.5)

@@ -54,7 +54,7 @@ class TestFormConsistency:
         gp = lambda t: (-math.pi * math.sin(math.pi * t)
                         + 0.9 * math.pi * math.cos(3.0 * math.pi * t))
         u = np.array([g(t) for t in x[:-1]])  # folded: last node = -first
-        discrete = fem.form_value(op, u)
+        discrete = u @ op.stiffness @ u
         rule = QuadratureRule.gauss(panels=n, nodes=2)  # panels align with elements
         exact = integrate(lambda t: gp(t) ** 2, 0.0, 1.0, rule) + b * g(0.0) ** 2
         assert abs(discrete - exact) < 1e-3 * max(1.0, abs(exact))
@@ -65,7 +65,7 @@ class TestFormConsistency:
         op = fem.assemble(n, AntiPeriodicRobin(b))
         x = np.linspace(0.0, 1.0, n + 1)
         u = 1.0 - 2.0 * x[:-1]
-        assert abs(fem.form_value(op, u) - (4.0 + b)) < 1e-10
+        assert abs(u @ op.stiffness @ u - (4.0 + b)) < 1e-10
 
 
 class TestDiscreteBottoms:
@@ -109,15 +109,15 @@ class TestDiscreteBottoms:
 
 
 class TestVerifyInterval:
-    def test_report_fields(self):
-        rep = fem.verify_interval(0.5, n=200)
-        assert rep.grid == 200
-        assert rep.abs_error == abs(rep.discrete_bottom - rep.analytic_bottom)
-        assert abs(rep.convergence_order - 2.0) < 0.3
+    def test_convergence_order(self):
+        # one-sided O(h^2) error of the P1 bottom for the b-family at b = 0.5
+        analytic = interval.spectrum(interval.b_to_t(0.5), cutoff=200.0).bottom
+        e_200 = abs(fem.discrete_bottom(200, AntiPeriodicRobin(0.5)) - analytic)
+        e_400 = abs(fem.discrete_bottom(400, AntiPeriodicRobin(0.5)) - analytic)
+        assert abs(math.log2(e_200 / e_400) - 2.0) < 0.3
 
     def test_exact_eigenvector_case(self):
-        # b = -4: the bottom eigenfunction 1 - 2x is in the FEM space, so
-        # both grids are at solver accuracy and the order is flagged nan
-        rep = fem.verify_interval(-4.0, n=100)
-        assert rep.abs_error < 1e-8
-        assert math.isnan(rep.convergence_order) or rep.abs_error < 1e-8
+        # b = -4: the bottom eigenfunction 1 - 2x is piecewise linear, so it
+        # lies in the FEM space and the discrete bottom is exact
+        analytic = interval.spectrum(interval.b_to_t(-4.0), cutoff=200.0).bottom
+        assert abs(fem.discrete_bottom(100, AntiPeriodicRobin(-4.0)) - analytic) < 1e-8

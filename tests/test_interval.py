@@ -4,33 +4,10 @@ import numpy as np
 import pytest
 
 from topext import interval, kvb
-from topext.interval import (
-    ConvergenceError,
-    PoleError,
-    PreconditionError,
-    SearchError,
-)
+from topext.interval import ConvergenceError, PoleError
 from topext.numerics import DomainError, QuadratureRule, integrate
 
 PI2 = math.pi ** 2
-
-
-class TestInverseOnKernel:
-    def test_residual_symbolic(self):
-        # -u'' = a + b x with u(0) = u(1) = 0, checked with sympy
-        sympy = pytest.importorskip("sympy")
-        x = sympy.symbols("x")
-        a, b = sympy.Rational(3, 2), sympy.Rational(-5, 7)
-        coeffs = interval.sf_inverse_on_kernel(float(a), float(b))
-        u = sum(sympy.nsimplify(c, rational=True) * x ** k
-                for k, c in enumerate(coeffs))
-        assert sympy.simplify(-sympy.diff(u, x, 2) - (a + b * x)) == 0
-        assert u.subs(x, 0) == 0 and sympy.simplify(u.subs(x, 1)) == 0
-
-    def test_unit_case(self):
-        coeffs = interval.sf_inverse_on_kernel(1.0, 0.0)
-        # x/2 - x^2/2: the textbook solution of -u'' = 1
-        assert np.allclose(coeffs, [0.0, 0.5, -0.5, 0.0])
 
 
 class TestResolventAtBottom:
@@ -65,11 +42,11 @@ class TestDeficiencyModel:
 
     def test_weighted_gram_at_zero(self):
         # <v, S_F^{-1} v> with v = 1 - 2x: quadrature route
+        # S_F^{-1}(1 - 2x) = x/6 - x^2/2 + x^3/3 (-u'' = 1 - 2x, u(0) = u(1) = 0)
         model = interval.deficiency_model()
-        coeffs = interval.sf_inverse_on_kernel(1.0, -2.0)
         rule = QuadratureRule.gauss(panels=64, nodes=10)
         direct = integrate(
-            lambda x: (1.0 - 2.0 * x) * interval.poly_value(coeffs, x).real,
+            lambda x: (1.0 - 2.0 * x) * (x / 6.0 - x * x / 2.0 + x ** 3 / 3.0),
             0.0, 1.0, rule)
         assert abs(float(model.weighted_gram(0.0)[0, 0]) - direct) < 1e-10
 
@@ -86,24 +63,6 @@ class TestDeficiencyModel:
         tq = kvb.build_q(interval.deficiency_model())
         assert abs(tq.t_q_scalar - 12.0) < 1e-6
         assert abs(float(tq.q_matrix[0, 0]) - 4.0) < 1e-6
-
-
-class TestEvenModeCoefficient:
-    def test_against_quadrature(self):
-        rule = QuadratureRule.gauss(panels=64, nodes=10)
-        for n in range(1, 9):
-            direct = integrate(
-                lambda x: (1.0 - 2.0 * x) * math.sqrt(2.0) * math.sin(n * math.pi * x),
-                0.0, 1.0, rule)
-            assert abs(interval.even_mode_coefficient(n) - direct) < 1e-13
-
-    def test_parseval(self):
-        # sum of squared coefficients equals ||1-2x||^2 = 1/3; the partial
-        # sum undershoots by the O(1/N) tail 4/(pi^2 N)
-        N = 20000
-        total = sum(interval.even_mode_coefficient(n) ** 2 for n in range(1, N + 1))
-        assert total < 1.0 / 3.0
-        assert abs(total + 4.0 / (PI2 * N) - 1.0 / 3.0) < 1e-8
 
 
 class TestSecularFunction:
@@ -179,7 +138,8 @@ class TestClassify:
 
     def test_t_dictionary(self):
         assert interval.classify(0.0).t == 12.0
-        assert interval.b_to_t(interval.t_to_b(37.0)) == 37.0
+        assert interval.classify(-4.0).t == 0.0
+        assert interval.b_to_t(8.0) == 36.0
 
     def test_agrees_with_abstract_criterion(self):
         model = interval.deficiency_model()
@@ -188,72 +148,6 @@ class TestClassify:
             T = kvb.ExtensionParameter.scalar(
                 interval.b_to_t(float(b)), model.V_basis, model.gram)
             assert kvb.is_top_extension(T, tq) == interval.classify(float(b)).top
-
-
-class TestNamedSpectra:
-    def test_bottoms(self):
-        assert interval.named_extension_spectrum("Periodic").bottom == 0.0
-        assert interval.named_extension_spectrum("AntiPeriodic").bottom == PI2
-        assert interval.named_extension_spectrum("Dirichlet").bottom == PI2
-
-    def test_dirichlet_is_all_squares(self):
-        spec = interval.named_extension_spectrum("Dirichlet", cutoff=120.0)
-        allvals = sorted(spec.sin_family + spec.secular_roots)
-        expected = [n * n * PI2 for n in range(1, 4)]
-        assert np.allclose(allvals, expected)
-
-    def test_unknown(self):
-        with pytest.raises(DomainError):
-            interval.named_extension_spectrum("Neumann")
-
-
-class TestDomainVector:
-    def test_boundary_relations(self):
-        # the cubic part p of a domain element satisfies the b-family
-        # boundary conditions by construction when beta is free
-        # g = f + p with f(0) = f(1) = f'(0) = f'(1) = 0 carries its boundary
-        # data entirely in the cubic p, which must satisfy the b-family lines
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            t = rng.uniform(-20.0, 60.0)
-            alpha, beta = rng.standard_normal(2)
-            p = interval.domain_vector(t, alpha, beta)
-            pv = lambda x: interval.poly_value(p, x).real
-            pp = lambda x: interval.poly_derivative(p, x).real
-            b = interval.t_to_b(t)
-            assert abs(pv(0.0) + pv(1.0)) < 1e-12
-            assert abs(pp(0.0) + pp(1.0) - b * pv(0.0)) < 1e-10
-
-
-class TestFormValueDirect:
-    def test_decomposition_identity(self):
-        # g = f + v with f = (b+4) alpha x (1-x)^2 in the form domain of S_F
-        # and v = alpha (1-2x): form value = S_F[f] + t |alpha|^2 <v,v> route
-        rule = QuadratureRule.gauss(panels=64, nodes=10)
-        for b in (-2.0, 0.0, 3.5):
-            alpha = 0.7
-            t = interval.b_to_t(b)
-            f = lambda x: (b + 4.0) * alpha * x * (1.0 - x) ** 2
-            fp = lambda x: (b + 4.0) * alpha * (1.0 - 4.0 * x + 3.0 * x * x)
-            g = lambda x: f(x) + alpha * (1.0 - 2.0 * x)
-            gp = lambda x: fp(x) - 2.0 * alpha
-            direct = interval.form_value_direct(g, gp, b, rule)
-            # decomposition route: S_F[f] + t <v, v> with v = alpha (1 - 2x)
-            sf_part = integrate(lambda x: fp(x) ** 2, 0.0, 1.0, rule)
-            expected = sf_part + t * alpha ** 2 / 3.0
-            assert abs(direct - expected) < 1e-10
-
-    def test_precondition(self):
-        with pytest.raises(PreconditionError):
-            interval.form_value_direct(lambda x: 1.0, lambda x: 0.0, 0.0)
-
-    def test_ground_state_value(self):
-        # g = 1 - 2x satisfies the b-conditions with b = 4 x g(0): here
-        # g'(0) + g'(1) = -4 = b g(0) forces b = -4; form value 4 + b
-        g = lambda x: 1.0 - 2.0 * x
-        gp = lambda x: -2.0
-        val = interval.form_value_direct(g, gp, -4.0)
-        assert abs(val - 0.0) < 1e-12
 
 
 class TestSearchBudgets:

@@ -8,7 +8,6 @@ from topext.kvb import (
     HypothesisViolatedError,
     ModelError,
     build_q,
-    form_decomposition_value,
     is_top_extension,
     krein_bound,
     mu_criterion,
@@ -194,21 +193,3 @@ class TestVariationalSup:
         from topext.numerics import FactorizationError
         with pytest.raises(FactorizationError):
             variational_sup_check(-np.eye(3), np.ones(3))
-
-
-class TestFormDecomposition:
-    def test_friedrichs(self):
-        T = ExtensionParameter.friedrichs()
-        assert form_decomposition_value(7.0, T, np.zeros(2)) == 7.0
-        with pytest.raises(DomainError):
-            form_decomposition_value(7.0, T, np.ones(2))
-
-    def test_scalar_addition(self):
-        T = ExtensionParameter.scalar(3.0, np.eye(1), np.eye(1))
-        val = form_decomposition_value(2.0, T, np.array([2.0]))
-        assert abs(val - (2.0 + 3.0 * 4.0)) < 1e-12
-
-    def test_outside_domain(self):
-        T = ExtensionParameter.scalar(3.0, np.array([[1.0], [0.0]]), np.eye(2))
-        with pytest.raises(DomainError):
-            form_decomposition_value(0.0, T, np.array([0.0, 1.0]))

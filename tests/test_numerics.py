@@ -69,11 +69,6 @@ class TestIntegrate:
         val = integrate(lambda x: math.sin(math.pi * x) * (1.0 - 2.0 * x), 0.0, 1.0)
         assert abs(val - exact) < 1e-13
 
-    def test_simpson(self):
-        rule = QuadratureRule.simpson(panels=200)
-        val = integrate(lambda x: math.exp(x), 0.0, 1.0, rule)
-        assert abs(val - (math.e - 1.0)) < 1e-10
-
     def test_gauss_convergence_order(self):
         # 5-node Gauss-Legendre on smooth f: observed order >= 8 as panels double
         f = lambda x: math.exp(math.sin(3.0 * x))
@@ -84,16 +79,16 @@ class TestIntegrate:
 
     def test_bad_rules(self):
         with pytest.raises(DomainError):
-            QuadratureRule("gauss-legendre", 4, 20)
+            QuadratureRule.gauss(panels=4, nodes=20)
         with pytest.raises(DomainError):
-            QuadratureRule("simpson", 4, 5)
+            QuadratureRule.gauss(panels=4, nodes=1)
         with pytest.raises(DomainError):
-            QuadratureRule("gauss-legendre", 0, 5)
+            QuadratureRule.gauss(panels=0, nodes=5)
 
     def test_nonfinite_integrand(self):
         with pytest.raises(EvaluationError):
             integrate(lambda x: math.inf if x < 0.5 else 1.0, 0.0, 1.0,
-                      QuadratureRule.simpson(panels=4))
+                      QuadratureRule.gauss(panels=4, nodes=2))
 
 
 class TestDigamma:

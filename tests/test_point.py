@@ -56,18 +56,12 @@ class TestDeficiencyModel:
 
 
 class TestAlphaDictionary:
-    def test_round_trip(self):
-        for alpha in (-2.0, 0.0, 0.3):
-            assert abs(point.t_to_alpha(point.alpha_to_t(alpha)) - alpha) < 1e-15
-
     def test_threshold_pairing(self):
         # t_q = 2 corresponds to alpha = 0
         assert point.alpha_to_t(0.0) == 2.0
-        assert point.t_to_alpha(2.0) == 0.0
+        assert point.alpha_to_t(-1.0 / (8.0 * math.pi)) == 1.0
 
     def test_friedrichs_marker(self):
-        assert point.AlphaParameter(math.inf).is_friedrichs
-        assert not point.AlphaParameter(-math.inf).is_friedrichs
         assert point.extension_parameter(math.inf).is_friedrichs
         with pytest.raises(DomainError):
             point.alpha_to_t(math.inf)
