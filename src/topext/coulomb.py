@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import Bracket, DomainError, SearchError, bisect, digamma, reject_nan
+from .numerics import Bracket, DomainError, SearchError, bisect, digamma, reject_nonfinite
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -28,9 +28,13 @@ _POINTS_PER_DECADE = 200
 
 def alpha_threshold(nu: float) -> float:
     """alpha_nu = nu/(4 pi) (ln nu + 2 gamma - 1)."""
+    reject_nonfinite(nu=nu)
     if not nu > 0:
         raise DomainError("nu must be positive")
-    return nu / (4.0 * math.pi) * (math.log(nu) + 2.0 * EULER_GAMMA - 1.0)
+    threshold = nu / (4.0 * math.pi) * (math.log(nu) + 2.0 * EULER_GAMMA - 1.0)
+    if not math.isfinite(threshold):
+        raise DomainError(f"nu = {nu!r}: alpha_nu overflows a float")
+    return threshold
 
 
 def script_F(nu: float, E: float) -> float:
@@ -67,11 +71,9 @@ def count_sign_changes(nu: float, alpha: float) -> int:
 def coulomb_eigenvalue(nu: float, alpha: float) -> Optional[float]:
     """The unique negative root E of F_nu(E) = alpha when alpha < alpha_nu,
     None otherwise.  Root residual |F_nu(E) - alpha| <= 1e-10."""
-    reject_nan(nu=nu, alpha=alpha)
-    if not nu > 0:
-        raise DomainError("nu must be positive")
-    if alpha >= alpha_threshold(nu):
+    if alpha >= alpha_threshold(nu):  # alpha = inf included: Friedrichs
         return None
+    reject_nonfinite(alpha=alpha)
     grid = _scan_grid()
     prev_s = grid[0]
     prev_val = script_F(nu, -prev_s * prev_s) - alpha
@@ -102,10 +104,7 @@ class Classification:
 def classify_coulomb(nu: float, alpha: float) -> Classification:
     """Top iff alpha >= alpha_nu (boundary inclusive; alpha = inf is the
     Friedrichs extension and always Top)."""
-    reject_nan(nu=nu, alpha=alpha)
     threshold = alpha_threshold(nu)
-    if math.isinf(alpha) and alpha > 0:
-        return Classification(top=True, bottom=0.0, threshold=threshold)
     if alpha >= threshold:
         return Classification(top=True, bottom=0.0, threshold=threshold)
     E = coulomb_eigenvalue(nu, alpha)

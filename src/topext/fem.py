@@ -9,7 +9,6 @@ integration by parts.  Discrete bottoms over-estimate the analytic ones
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -21,25 +20,20 @@ class UnsupportedBCError(ValueError):
     """No real quadratic form exists for this parameter combination."""
 
 
-@dataclass(frozen=True)
-class Periodic:
-    """Named constraint g(1) = g(0) (derivative matching is natural)."""
+def Periodic() -> BoundaryCondition:
+    """g(1) = g(0), g'(0) = g'(1): the one-dim-a condition with c = 1, b1 = 0."""
+    return BoundaryCondition.one_dim_a(0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class AntiPeriodicRobin:
-    """g(1) = -g(0) plus the Robin form term b |g(0)|^2."""
-
-    b: float = 0.0
-
-
-BCSpec = Union[BoundaryCondition, Periodic, AntiPeriodicRobin]
+def AntiPeriodicRobin(b: float = 0.0) -> BoundaryCondition:
+    """g(1) = -g(0), g'(0) + g'(1) = b g(0): one-dim-a with c = -1, b1 = b."""
+    return BoundaryCondition.one_dim_a(b, -1.0)
 
 
 @dataclass(frozen=True)
 class DiscreteOperator:
     n: int
-    bc: BCSpec
+    bc: BoundaryCondition
     stiffness: np.ndarray
     mass: np.ndarray
 
@@ -59,51 +53,40 @@ def _free_matrices(n: int):
     return K, M
 
 
-def _fold_last_node(K: np.ndarray, M: np.ndarray, factor: float):
-    """Impose u_n = factor * u_0 and drop the last degree of freedom."""
-    n = K.shape[0] - 1
-    P = np.zeros((n + 1, n))
-    P[:n, :n] = np.eye(n)
-    P[n, 0] = factor
-    return P.T @ K @ P, P.T @ M @ P
+def _fold_last_node(A: np.ndarray, factor: float) -> np.ndarray:
+    """Impose u_n = factor * u_0 and drop the last degree of freedom: P^T A P
+    for P = [I; factor e_0^T], done in place, as it changes only row and column 0."""
+    A[0, :] += factor * A[-1, :]
+    A[:, 0] += factor * A[:, -1]
+    return A[:-1, :-1]
 
 
-def assemble(n: int, bc: BCSpec) -> DiscreteOperator:
+def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
     """Stiffness/mass pair with the boundary constraint folded in."""
     if n < 8:
         raise DomainError("grid too coarse: need n >= 8")
-    K, M = _free_matrices(n)
-    if isinstance(bc, Periodic):
-        K, M = _fold_last_node(K, M, 1.0)
-    elif isinstance(bc, AntiPeriodicRobin):
-        K, M = _fold_last_node(K, M, -1.0)
-        K[0, 0] += bc.b
-    elif isinstance(bc, BoundaryCondition):
-        if bc.variant == "dirichlet":
-            K, M = K[1:-1, 1:-1], M[1:-1, 1:-1]
-        elif bc.variant == "two-dim":
-            if abs(complex(bc.c).imag) > 0:
-                raise UnsupportedBCError("complex coupling c is not assembled "
-                                         "as a real symmetric form")
-            c = complex(bc.c).real
-            K[0, 0] += bc.b1
-            K[-1, -1] += bc.b2
-            K[0, -1] += c
-            K[-1, 0] += c
-        elif bc.variant == "one-dim-a":
-            if abs(complex(bc.c).imag) > 0:
-                raise UnsupportedBCError("complex coupling c is not assembled "
-                                         "as a real symmetric form")
-            K, M = _fold_last_node(K, M, complex(bc.c).real)
-            K[0, 0] += bc.b1
-        elif bc.variant == "one-dim-b":
-            K, M = K[1:, 1:], M[1:, 1:]
-            K[-1, -1] += bc.b1
-        else:
-            raise UnsupportedBCError(f"unknown boundary condition {bc.variant!r}")
-    else:
+    if not isinstance(bc, BoundaryCondition):
         raise UnsupportedBCError(f"unsupported constraint {bc!r}")
-    return DiscreteOperator(n=n, bc=bc, stiffness=0.5 * (K + K.T), mass=0.5 * (M + M.T))
+    if complex(bc.c).imag != 0:
+        raise UnsupportedBCError(f"complex coupling c = {bc.c!r} has no real symmetric form")
+    c = complex(bc.c).real
+    K, M = _free_matrices(n)
+    if bc.variant == "dirichlet":
+        K, M = K[1:-1, 1:-1], M[1:-1, 1:-1]
+    elif bc.variant == "two-dim":
+        K[0, 0] += bc.b1
+        K[-1, -1] += bc.b2
+        K[0, -1] += c
+        K[-1, 0] += c
+    elif bc.variant == "one-dim-a":
+        K, M = _fold_last_node(K, c), _fold_last_node(M, c)
+        K[0, 0] += bc.b1
+    elif bc.variant == "one-dim-b":
+        K, M = K[1:, 1:], M[1:, 1:]
+        K[-1, -1] += bc.b1
+    else:
+        raise UnsupportedBCError(f"unknown boundary condition {bc.variant!r}")
+    return DiscreteOperator(n=n, bc=bc, stiffness=K, mass=M)
 
 
 def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
@@ -113,5 +96,5 @@ def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     return eig_sym(op.stiffness, op.mass, k)
 
 
-def discrete_bottom(n: int, bc: BCSpec) -> float:
+def discrete_bottom(n: int, bc: BoundaryCondition) -> float:
     return float(lowest_eigenvalues(assemble(n, bc), 1)[0])

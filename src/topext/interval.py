@@ -20,7 +20,7 @@ from typing import Callable, List
 import numpy as np
 
 from .numerics import (Bracket, DomainError, QuadratureRule, SearchError, bisect,
-                       integrate, reject_nan)
+                       integrate, reject_nonfinite)
 from .kvb import DeficiencyModel
 
 M_S = math.pi ** 2
@@ -159,11 +159,12 @@ def _root_in_first_interval(t: float, tol: float = 1e-12) -> float:
         if delta < 2e-9:
             raise SearchError("cannot bracket below the first singularity")
         hi = _singularity(1) - delta
+    # F decreases to -inf as lambda -> -inf, so the scan ends for every finite t
     lo = -1.0
     while secular_F(lo) >= t:
         lo *= 4.0
-        if lo < -1e12:
-            raise SearchError("negative-branch bracket scan exhausted")
+    if lo == -math.inf:
+        raise DomainError(f"t = {t!r}: the bottom -(t/6 - 2)^2 overflows a float")
     f = lambda lam: secular_F(lam) - t
     return bisect(f, Bracket.from_function(f, lo, hi), tol)
 
@@ -183,7 +184,7 @@ def _root_in_interval(k: int, t: float, tol: float = 1e-12) -> float:
 
 def spectrum(t: float, cutoff: float = 200.0) -> IntervalSpectrum:
     """Eigenvalues of the extension at level t up to the cutoff."""
-    reject_nan(t=t)
+    reject_nonfinite(t=t, cutoff=cutoff)
     if not cutoff > 0:
         raise DomainError("cutoff must be positive")
     sin_family = []
@@ -212,5 +213,8 @@ class Classification:
 
 def classify(b: float) -> Classification:
     """Top iff b >= 0, i.e. t = 3b + 12 >= t_q = 12."""
-    reject_nan(b=b)
-    return Classification(top=b >= 0.0, t=b_to_t(b), margin=b)
+    reject_nonfinite(b=b)
+    t = b_to_t(b)
+    if not math.isfinite(t):
+        raise DomainError(f"b = {b!r}: t = 3b + 12 overflows a float")
+    return Classification(top=b >= 0.0, t=t, margin=b)

@@ -35,11 +35,11 @@ class SearchError(RuntimeError):
     """A root search exhausted its budget or missed its residual tolerance."""
 
 
-def reject_nan(**args: float) -> None:
-    """Raise DomainError naming the first keyword argument that is NaN."""
+def reject_nonfinite(**args: float) -> None:
+    """Raise DomainError naming the first keyword argument that is NaN or infinite."""
     for name, value in args.items():
-        if math.isnan(value):
-            raise DomainError(f"{name} is nan; a number is required")
+        if not math.isfinite(value):
+            raise DomainError(f"{name} is {value}; a finite number is required")
 
 
 @dataclass(frozen=True)

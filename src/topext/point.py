@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import DomainError, QuadratureRule, integrate, reject_nan
+from .numerics import DomainError, QuadratureRule, integrate, reject_nonfinite
 from .kvb import DeficiencyModel, ExtensionParameter
 
 FRIEDRICHS = math.inf
@@ -90,10 +90,14 @@ def extension_parameter(alpha: float) -> ExtensionParameter:
 def point_spectrum(alpha: float) -> PointSpectrum:
     """Negative eigenvalue -(4 pi alpha)^2 iff alpha < 0; essential
     spectrum [0, inf) always."""
-    reject_nan(alpha=alpha)
-    if alpha < 0:
-        return PointSpectrum(eigenvalue=-(4.0 * math.pi * alpha) ** 2)
-    return PointSpectrum(eigenvalue=None)
+    if alpha >= 0:  # alpha = inf included: the Friedrichs extension
+        return PointSpectrum(eigenvalue=None)
+    reject_nonfinite(alpha=alpha)
+    x = 4.0 * math.pi * alpha
+    if not math.isfinite(x * x):
+        raise DomainError(f"alpha = {alpha!r}: the eigenvalue -(4 pi alpha)^2 "
+                          "overflows a float")
+    return PointSpectrum(eigenvalue=-x ** 2)
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,4 @@ class Classification:
 def classify_point(alpha: float) -> Classification:
     """Top iff alpha >= 0 (Friedrichs included): those extensions keep the
     unshifted bottom 0."""
-    reject_nan(alpha=alpha)
-    spec = point_spectrum(alpha) if not math.isinf(alpha) else PointSpectrum(None)
-    return Classification(top=alpha >= 0.0, bottom=spec.bottom)
+    return Classification(top=alpha >= 0.0, bottom=point_spectrum(alpha).bottom)

@@ -272,20 +272,32 @@ def cases_coulomb() -> List[Report]:
     return reports
 
 
+# (example, case-name prefix, case function) for every case function, in run
+# order.  `run` calls a function only if one of its records can match --only.
+# Each lambda looks its function up in this module's globals when called, so
+# a wrapper installed there (e.g. by a tracer) sees the call.
+CASES = (
+    ("interval", "interval-tq", lambda grid: [case_interval_tq()]),
+    ("point", "point-tq", lambda grid: [case_point_tq()]),
+    ("interval", "interval-secular", lambda grid: [case_interval_secular()]),
+    ("interval", "interval-classify-", lambda grid: cases_interval_classify(grid)),
+    ("interval", "named-", lambda grid: cases_named_spectra(grid)),
+    ("interval", "convergence-", lambda grid: cases_convergence()),
+    ("abstract", "variational-sup", lambda grid: [case_variational()]),
+    ("abstract", "ordering-monotonicity", lambda grid: [case_ordering()]),
+    ("interval", "krein-bound", lambda grid: [case_krein()]),
+    ("point", "point-", lambda grid: cases_point()),
+    ("coulomb", "coulomb-", lambda grid: cases_coulomb()),
+)
+
+
 def run(grid: int = 2000, only: Optional[str] = None) -> List[Report]:
-    """Run the verification matrix, optionally filtered to one example."""
+    """Run the verification matrix, optionally filtered to one example or
+    to the cases whose name starts with `only`."""
     reports: List[Report] = []
-    reports.append(case_interval_tq())
-    reports.append(case_point_tq())
-    reports.append(case_interval_secular())
-    reports.extend(cases_interval_classify(grid))
-    reports.extend(cases_named_spectra(grid))
-    reports.extend(cases_convergence())
-    reports.append(case_variational())
-    reports.append(case_ordering())
-    reports.append(case_krein())
-    reports.extend(cases_point())
-    reports.extend(cases_coulomb())
+    for example, prefix, cases in CASES:
+        if only in (None, example) or prefix.startswith(only) or only.startswith(prefix):
+            reports.extend(cases(grid))
     if only is not None:
         reports = [r for r in reports if r.example == only or r.case.startswith(only)]
     return sorted(reports, key=lambda r: r.case)

@@ -38,6 +38,14 @@ def records():
     return by_case
 
 
+def test_case_table_covers_records(records):
+    # `verify --only` skips a case function unless its table row can match,
+    # so every record must carry its row's example and case-name prefix
+    for r in records.values():
+        assert any(r.example == example and r.case.startswith(prefix)
+                   for example, prefix, _ in verify.CASES), r.case
+
+
 def report(number: int, label: str, ok: bool) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  criterion {number:2d}: {label}")
     assert ok, f"criterion {number}: {label}"

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from topext import cli, coulomb, interval
+from topext import cli, coulomb, fem, interval
 from topext.verify import Report
 
 PI2 = math.pi ** 2
@@ -158,6 +158,19 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert lines and all(l.startswith("PASS") for l in lines)
 
+    def test_only_selects_before_running(self, capsys, monkeypatch):
+        # the FEM oracle serves only interval cases: with --only coulomb, or
+        # an --only that matches nothing, no interval case may run
+        def no_fem(*args, **kwargs):
+            raise AssertionError("fem.assemble called")
+        monkeypatch.setattr(fem, "assemble", no_fem)
+        code, out, _ = run_cli(capsys, "verify", "--only", "coulomb",
+                               "--format", "records")
+        assert code == 0
+        assert {Report.from_record(l).example for l in out.splitlines()} == {"coulomb"}
+        code, out, _ = run_cli(capsys, "verify", "--only", "nothing")
+        assert code == 2
+
     def test_only_matches_nothing(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--grid", "200",
                                  "--only", "nothing")
@@ -166,20 +179,36 @@ class TestVerifyCommand:
         assert "--only 'nothing'" in err
 
 
+# the last option on each line holds the bad value; the error names it
 @pytest.mark.parametrize("argv", [
     ("interval", "classify", "--b", "nan"),
     ("interval", "spectrum", "--t", "nan"),
     ("point", "classify", "--alpha", "nan"),
     ("point", "spectrum", "--alpha", "nan"),
     ("coulomb", "classify", "--nu", "1", "--alpha", "nan"),
-    ("coulomb", "classify", "--nu", "nan", "--alpha", "0"),
+    ("coulomb", "classify", "--alpha", "0", "--nu", "nan"),
     ("coulomb", "eigenvalue", "--nu", "1", "--alpha", "nan"),
+    ("point", "classify", "--alpha=-inf"),
+    ("point", "spectrum", "--alpha=-inf"),
+    ("point", "spectrum", "--alpha=-1e200"),
+    ("point", "spectrum", "--alpha=-1.7e308"),
+    ("coulomb", "classify", "--nu", "1", "--alpha=-inf"),
+    ("coulomb", "eigenvalue", "--nu", "1", "--alpha=-inf"),
+    ("coulomb", "threshold", "--nu", "inf"),
+    ("coulomb", "threshold", "--nu", "1e308"),
+    ("interval", "classify", "--b", "1e308"),
+    ("interval", "classify", "--b", "inf"),
+    ("interval", "classify", "--b=-inf"),
+    ("interval", "spectrum", "--t", "inf"),
+    ("interval", "spectrum", "--t=-inf"),
+    ("interval", "spectrum", "--t=-1e300"),
 ])
 def test_nan_input_is_a_domain_error(capsys, argv):
+    name = [a for a in argv if a.startswith("--")][-1][2:].split("=")[0]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "nan" in err
+    assert err.startswith(f"error: {name} ")
 
 
 class TestUsageErrors:

@@ -29,6 +29,37 @@ class TestAssembly:
         with pytest.raises(UnsupportedBCError):
             fem.assemble(16, BoundaryCondition.one_dim_a(0.0, 1j))
 
+    def test_not_a_boundary_condition(self):
+        with pytest.raises(UnsupportedBCError):
+            fem.assemble(16, "periodic")
+
+    def test_named_conditions_are_one_dim_a(self):
+        assert Periodic() == BoundaryCondition.one_dim_a(0.0, 1.0)
+        for b in (0.0, -4.0, 1.5):
+            assert AntiPeriodicRobin(b) == BoundaryCondition.one_dim_a(b, -1.0)
+
+    @pytest.mark.parametrize("c", [1.0, -1.0, 0.3])
+    def test_fold_equals_dense_projection(self, c):
+        # reference: u_n = c u_0 imposed by P = [I; c e_0^T] as P^T A P
+        n, b1 = 200, -2.5
+        K, M = fem._free_matrices(n)
+        P = np.zeros((n + 1, n))
+        P[:n, :n] = np.eye(n)
+        P[n, 0] = c
+        K_ref, M_ref = P.T @ K @ P, P.T @ M @ P
+        K_ref[0, 0] += b1
+        op = fem.assemble(n, BoundaryCondition.one_dim_a(b1, c))
+        assert np.array_equal(op.stiffness, K_ref)
+        assert np.array_equal(op.mass, M_ref)
+
+    def test_exactly_symmetric(self):
+        for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.two_dim(1.0, -2.0, 0.3),
+                   BoundaryCondition.one_dim_a(0.5, 0.3), BoundaryCondition.one_dim_b(0.7),
+                   Periodic(), AntiPeriodicRobin(-3.0)):
+            op = fem.assemble(64, bc)
+            assert np.array_equal(op.stiffness, op.stiffness.T), bc
+            assert np.array_equal(op.mass, op.mass.T), bc
+
     def test_mass_positive_definite(self):
         for bc in (Periodic(), AntiPeriodicRobin(-3.0),
                    BoundaryCondition.dirichlet(),

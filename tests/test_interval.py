@@ -156,3 +156,10 @@ class TestSearchBudgets:
         root = interval.spectrum(-1e4, cutoff=50.0).bottom
         assert root < -1e6
         assert abs(interval.secular_F(root) + 1e4) < 1e-4
+
+    def test_deep_negative_bottom_follows_asymptote(self):
+        # no fixed floor on the negative-branch scan: for t -> -inf the
+        # bottom is -(t/6 - 2)^2 = -b^2/4, far below lambda = -1e12
+        for b in (-1e7, -1e10):
+            bottom = interval.spectrum(interval.b_to_t(b), cutoff=50.0).bottom
+            assert abs(bottom + b * b / 4.0) <= 1e-12 * b * b / 4.0
