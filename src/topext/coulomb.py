@@ -20,11 +20,6 @@ from .numerics import Bracket, DomainError, SearchError, bisect, digamma, reject
 
 EULER_GAMMA = 0.57721566490153286061
 
-# geometric scan grid in s = sqrt(|E|): E spans [-1e8, -1e-12]
-_S_MIN = 1e-6
-_S_MAX = 1e4
-_POINTS_PER_DECADE = 200
-
 
 def alpha_threshold(nu: float) -> float:
     """alpha_nu = nu/(4 pi) (ln nu + 2 gamma - 1)."""
@@ -53,15 +48,10 @@ def script_F(nu: float, E: float) -> float:
     )
 
 
-def _scan_grid() -> np.ndarray:
-    decades = math.log10(_S_MAX / _S_MIN)
-    count = int(round(decades * _POINTS_PER_DECADE)) + 1
-    return np.geomspace(_S_MIN, _S_MAX, count)
-
-
 def count_sign_changes(nu: float, alpha: float) -> int:
-    """Sign changes of F_nu(-s^2) - alpha along the standard scan grid."""
-    grid = _scan_grid()
+    """Sign changes of F_nu(-s^2) - alpha on a geometric grid of 200 points
+    per decade in s = sqrt(-E) over [1e-6, 1e4], i.e. E in [-1e8, -1e-12]."""
+    grid = np.geomspace(1e-6, 1e4, 2001)
     values = np.array([script_F(nu, -s * s) - alpha for s in grid])
     signs = np.sign(values)
     nonzero = signs[signs != 0]
@@ -74,24 +64,26 @@ def coulomb_eigenvalue(nu: float, alpha: float) -> Optional[float]:
     if alpha >= alpha_threshold(nu):  # alpha = inf included: Friedrichs
         return None
     reject_nonfinite(alpha=alpha)
-    grid = _scan_grid()
-    prev_s = grid[0]
-    prev_val = script_F(nu, -prev_s * prev_s) - alpha
-    for s in grid[1:]:
-        val = script_F(nu, -s * s) - alpha
-        if prev_val == 0.0:
-            return -prev_s * prev_s
-        if prev_val * val < 0.0:
-            f = lambda x: script_F(nu, -x * x) - alpha
-            root_s = bisect(f, Bracket(prev_s, s, prev_val, val),
-                            tol=1e-15 * max(1.0, s))
-            E = -root_s * root_s
-            if abs(script_F(nu, E) - alpha) > 1e-10:
-                raise SearchError("root residual above tolerance")
-            return E
-        prev_s, prev_val = s, val
-    raise SearchError(
-        "no bracket found on the scan grid (alpha may sit at the threshold)")
+    # F_nu(-s^2) falls strictly from alpha_nu (s -> 0) to -inf, so doubling
+    # and halving s from 1 brackets the one sign change of f
+    f = lambda s: script_F(nu, -s * s) - alpha
+    lo = hi = 1.0
+    f_lo = f_hi = f(1.0)
+    while f_hi >= 0.0:
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+        if math.isinf(hi * hi):
+            raise DomainError(f"alpha = {alpha!r}: the eigenvalue E = -s^2 overflows a float")
+        f_hi = f(hi)
+    while f_lo < 0.0:
+        hi, f_hi, lo = lo, f_lo, 0.5 * lo
+        f_lo = f(lo)
+    s = lo if f_lo == 0.0 else bisect(f, Bracket(lo, hi, f_lo, f_hi), tol=1e-15 * hi)
+    E = -s * s
+    residual = abs(script_F(nu, E) - alpha)
+    if residual > 1e-10:
+        raise SearchError(f"nu = {nu!r}, alpha = {alpha!r}: root E = {E!r} has "
+                          f"residual |F_nu(E) - alpha| = {residual:.3g} above 1e-10")
+    return E
 
 
 @dataclass(frozen=True)

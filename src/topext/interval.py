@@ -19,11 +19,15 @@ from typing import Callable, List
 
 import numpy as np
 
+# SearchError stays importable from here for callers that catch it by module
 from .numerics import (Bracket, DomainError, QuadratureRule, SearchError, bisect,
                        integrate, reject_nonfinite)
 from .kvb import DeficiencyModel
 
 M_S = math.pi ** 2
+
+# spectrum refuses a cutoff with more eigenvalues than this in either family
+_MAX_LEVELS = 100_000
 
 
 class PoleError(ArithmeticError):
@@ -133,13 +137,13 @@ def secular_F(lam: float) -> float:
     if lam > 0.0:
         s = math.sqrt(lam)
         k = round(s / (2.0 * math.pi))
-        if k >= 1 and abs(lam - (2.0 * k * math.pi) ** 2) < 1e-9:
-            raise PoleError(f"lambda = {lam} is within 1e-9 of a singularity")
-        # cot(x) = -tan(x - (n + 1/2) pi): the phase reduction makes the
-        # zeros at half-integer multiples of pi (lambda = odd squares) exact
+        if k >= 1 and abs(lam - _singularity(k)) <= 1e-13 * _singularity(k):
+            raise PoleError(f"lambda = {lam} is within 1e-13 relative of a singularity")
+        # reduce x about the nearest multiple of pi/2: 1/tan(x - m pi) keeps F
+        # accurate near 0, -tan(x - (m + 1/2) pi) the zeros at odd squares exact
         x = 0.5 * s
-        n = round(x / math.pi - 0.5)
-        cot = -math.tan(x - (n + 0.5) * math.pi)
+        m, odd = divmod(round(s / math.pi), 2)
+        cot = -math.tan(x - (m + 0.5) * math.pi) if odd else 1.0 / math.tan(x - m * math.pi)
         return 12.0 - 6.0 * s * cot
     if lam == 0.0:
         return 0.0
@@ -151,35 +155,32 @@ def _singularity(k: int) -> float:
     return (2.0 * k * math.pi) ** 2
 
 
-def _root_in_first_interval(t: float, tol: float = 1e-12) -> float:
-    delta = 1e-6
-    hi = _singularity(1) - delta
-    while secular_F(hi) <= t:
-        delta /= 10.0
-        if delta < 2e-9:
-            raise SearchError("cannot bracket below the first singularity")
-        hi = _singularity(1) - delta
-    # F decreases to -inf as lambda -> -inf, so the scan ends for every finite t
-    lo = -1.0
-    while secular_F(lo) >= t:
-        lo *= 4.0
-    if lo == -math.inf:
-        raise DomainError(f"t = {t!r}: the bottom -(t/6 - 2)^2 overflows a float")
-    f = lambda lam: secular_F(lam) - t
-    return bisect(f, Bracket.from_function(f, lo, hi), tol)
+def _secular_root(k: int, t: float) -> float:
+    """The one root of the increasing F = t on branch k: lambda < 4 pi^2 for
+    k = 0, 4 k^2 pi^2 < lambda < 4 (k+1)^2 pi^2 for k >= 1.
 
-
-def _root_in_interval(k: int, t: float, tol: float = 1e-12) -> float:
-    a, b = _singularity(k), _singularity(k + 1)
-    f = lambda lam: secular_F(lam) - t
-    delta = 1e-6
-    while True:
-        lo, hi = a + delta, b - delta
-        if f(lo) < 0.0 < f(hi):
-            return bisect(f, Bracket(lo, hi, f(lo), f(hi)), tol)
-        delta /= 10.0
-        if delta < 2e-9:
-            raise SearchError(f"cannot bracket F = {t} in ({a}, {b})")
+    For lambda = s^2 > 0 it is the zero of the pole-free
+    g(s) = sin(s/2) (F(s^2) - t)/s = (12 - t) sin(s/2)/s - 6 cos(s/2) on
+    (2 k pi, 2 (k+1) pi), which runs from -6 cos(k pi) (-t/2 for k = 0, same
+    sign) to 6 cos(k pi).  The end signs are analytic: sin(fl(k pi)) != 0.
+    """
+    if k == 0 and t <= 0.0:
+        if t == 0.0:
+            return 0.0
+        # F decreases to -inf as lambda -> -inf, so the scan ends for every finite t
+        lo = -1.0
+        while secular_F(lo) >= t:
+            lo *= 4.0
+        if lo == -math.inf:
+            raise DomainError(f"t = {t!r}: the bottom -(t/6 - 2)^2 overflows a float")
+        f = lambda lam: secular_F(lam) - t
+        return bisect(f, Bracket(lo, 0.0, f(lo), -t))
+    g = lambda s: (12.0 - t) * math.sin(0.5 * s) / s - 6.0 * math.cos(0.5 * s)
+    cos_k_pi = 1.0 if k % 2 == 0 else -1.0
+    s_hi = 2.0 * (k + 1) * math.pi
+    s = bisect(g, Bracket(2.0 * k * math.pi, s_hi, -6.0 * cos_k_pi, 6.0 * cos_k_pi),
+               tol=1e-15 * s_hi)
+    return s * s
 
 
 def spectrum(t: float, cutoff: float = 200.0) -> IntervalSpectrum:
@@ -187,16 +188,20 @@ def spectrum(t: float, cutoff: float = 200.0) -> IntervalSpectrum:
     reject_nonfinite(t=t, cutoff=cutoff)
     if not cutoff > 0:
         raise DomainError("cutoff must be positive")
+    # each family holds about sqrt(cutoff)/(2 pi) eigenvalues below the cutoff
+    if math.sqrt(cutoff) / (2.0 * math.pi) > _MAX_LEVELS:
+        raise DomainError(f"cutoff = {cutoff!r} gives more than {_MAX_LEVELS} "
+                          "eigenvalues per family")
     sin_family = []
     n = 0
     while (2 * n + 1) ** 2 * math.pi ** 2 <= cutoff:
         sin_family.append((2 * n + 1) ** 2 * math.pi ** 2)
         n += 1
-    first_root = _root_in_first_interval(t)
+    first_root = _secular_root(0, t)
     roots = [first_root] if first_root <= cutoff else []
     k = 1
     while _singularity(k) < cutoff:
-        root = _root_in_interval(k, t)
+        root = _secular_root(k, t)
         if root <= cutoff:
             roots.append(root)
         k += 1

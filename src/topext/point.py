@@ -74,8 +74,7 @@ class PointSpectrum:
 
 
 def alpha_to_t(alpha: float) -> float:
-    if math.isinf(alpha):
-        raise DomainError("alpha = inf maps to the Friedrichs parameter, not a level t")
+    reject_nonfinite(alpha=alpha)  # alpha = +inf is Friedrichs: no level t
     return 8.0 * math.pi * alpha + 2.0
 
 

@@ -103,6 +103,23 @@ class TestEigenvalue:
         assert E < -1e4
         assert abs(script_F(nu, E) - (alpha_threshold(nu) - 50.0)) <= 1e-10
 
+    def test_brackets_near_threshold_and_deep(self):
+        # the root sits at s ~ 6e-7 and s ~ 1.3e6, outside a fixed scan range
+        nu = 1.0
+        for alpha in (alpha_threshold(nu) - 1e-14, -1e5):
+            E = coulomb_eigenvalue(nu, alpha)
+            assert E < 0.0
+            assert abs(script_F(nu, E) - alpha) <= 1e-10
+
+    def test_overflowing_eigenvalue_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^alpha = -1e\\+200"):
+            coulomb_eigenvalue(1.0, -1e200)
+
+    def test_residual_error_names_its_inputs(self):
+        # the terms of F_nu are ~1e6 here: a residual of 1e-10 is below their resolution
+        with pytest.raises(SearchError, match="nu = 1000000.0, alpha = 0.0"):
+            coulomb_eigenvalue(1e6, 0.0)
+
 
 class TestClassify:
     def test_boundary(self):

@@ -80,6 +80,11 @@ class TestSecularFunction:
         expected = 12.0 - 6.0 * kappa / math.tanh(1.0)
         assert abs(interval.secular_F(-4.0) - expected) < 1e-12
 
+    def test_small_lambda_series(self):
+        # F = lambda + lambda^2/60 + lambda^3/2520 + ...: no cancellation error near 0
+        for lam in (1e-10, 1e-8, 1e-6, 1e-4):
+            assert abs(interval.secular_F(lam) - (lam + lam * lam / 60.0)) <= 1e-14
+
     def test_continuity_at_zero(self):
         assert abs(interval.secular_F(1e-8) - interval.secular_F(-1e-8)) < 1e-6
 
@@ -129,6 +134,11 @@ class TestSpectrum:
         with pytest.raises(DomainError):
             interval.spectrum(12.0, cutoff=-1.0)
 
+    def test_cutoff_with_too_many_levels(self):
+        # about 1.6e9 eigenvalues per family: refused before any list is built
+        with pytest.raises(DomainError, match="^cutoff"):
+            interval.spectrum(12.0, cutoff=1e20)
+
 
 class TestClassify:
     def test_boundary(self):
@@ -163,3 +173,15 @@ class TestSearchBudgets:
         for b in (-1e7, -1e10):
             bottom = interval.spectrum(interval.b_to_t(b), cutoff=50.0).bottom
             assert abs(bottom + b * b / 4.0) <= 1e-12 * b * b / 4.0
+
+    def test_extreme_t_one_root_per_branch(self):
+        # next to the poles 4 k^2 pi^2 the roots sit only ~96 k^2 pi^2/|t| away
+        for t, count in ((1e13, 22), (-1e13, 23)):
+            roots = interval.spectrum(t, cutoff=20000.0).secular_roots
+            # branches k = 0..22 start below the cutoff; at t = 1e13 the root
+            # of k = 22 sits just below 4 * 23^2 pi^2, above the cutoff
+            branches = [math.floor(math.sqrt(max(r, 0.0)) / (2.0 * math.pi)) for r in roots]
+            assert branches == list(range(count))
+            for r in roots:
+                width = 1e-12 * abs(r)
+                assert interval.secular_F(r - width) <= t <= interval.secular_F(r + width)

@@ -66,6 +66,10 @@ class TestAlphaDictionary:
         with pytest.raises(DomainError):
             point.alpha_to_t(math.inf)
 
+    def test_minus_inf_is_rejected(self):
+        with pytest.raises(DomainError, match="^alpha is -inf"):
+            point.extension_parameter(-math.inf)
+
 
 class TestSpectrum:
     def test_negative_coupling(self):
