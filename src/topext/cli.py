@@ -14,6 +14,7 @@ import sys
 from typing import List, Optional
 
 from . import coulomb, interval, kvb, point, verify as verify_mod
+from .numerics import reject_nonfinite
 
 
 def _fmt(x) -> str:
@@ -66,6 +67,7 @@ def _cmd_interval(args, out) -> int:
         return 0
     if args.subcommand == "secular":
         lo, hi, k = args.min, args.max, args.samples
+        reject_nonfinite(min=lo, max=hi)
         if not (lo < hi and k >= 2):
             print("secular: need min < max and samples >= 2", file=sys.stderr)
             return 2
@@ -74,12 +76,12 @@ def _cmd_interval(args, out) -> int:
             print("lambda,F,interval", file=sink)
             for i in range(k):
                 lam = lo + (hi - lo) * i / (k - 1)
-                n = round(math.sqrt(max(lam, 0.0)) / (2.0 * math.pi))
+                # the branches of F lie between the poles at (2 n pi)^2
+                x = math.sqrt(max(lam, 0.0)) / (2.0 * math.pi)
+                n = round(x)
                 if n >= 1 and abs(lam - (2.0 * n * math.pi) ** 2) < 1e-6:
                     continue  # skip the singularity neighbourhood
-                idx = 0
-                while lam > (2.0 * (idx + 1) * math.pi) ** 2:
-                    idx += 1
+                idx = math.floor(x)
                 print(f"{_fmt(lam)},{_fmt(interval.secular_F(lam))},{idx}", file=sink)
         finally:
             if args.out:

@@ -39,13 +39,13 @@ def script_F(nu: float, E: float) -> float:
     if E >= 0:
         raise DomainError("script_F is defined for E < 0 only")
     s = math.sqrt(-E)
+    # s/(4 pi) stays outside the nu/(4 pi) factor: s/nu overflows for tiny nu
     return nu / (4.0 * math.pi) * (
         digamma(1.0 + nu / (2.0 * s))
         + math.log(2.0 * s)
         + 2.0 * EULER_GAMMA
         - 1.0
-        - s / nu
-    )
+    ) - s / (4.0 * math.pi)
 
 
 def count_sign_changes(nu: float, alpha: float) -> int:

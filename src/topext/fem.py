@@ -73,17 +73,9 @@ def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
     K, M = _free_matrices(n)
     if bc.variant == "dirichlet":
         K, M = K[1:-1, 1:-1], M[1:-1, 1:-1]
-    elif bc.variant == "two-dim":
-        K[0, 0] += bc.b1
-        K[-1, -1] += bc.b2
-        K[0, -1] += c
-        K[-1, 0] += c
     elif bc.variant == "one-dim-a":
         K, M = _fold_last_node(K, c), _fold_last_node(M, c)
         K[0, 0] += bc.b1
-    elif bc.variant == "one-dim-b":
-        K, M = K[1:, 1:], M[1:, 1:]
-        K[-1, -1] += bc.b1
     else:
         raise UnsupportedBCError(f"unknown boundary condition {bc.variant!r}")
     return DiscreteOperator(n=n, bc=bc, stiffness=K, mass=M)
@@ -91,8 +83,6 @@ def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
 
 def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     """k smallest generalized eigenvalues of (stiffness, mass), ascending."""
-    if k > op.dim:
-        raise DomainError(f"k = {k} exceeds the operator dimension {op.dim}")
     return eig_sym(op.stiffness, op.mass, k)
 
 

@@ -29,6 +29,9 @@ M_S = math.pi ** 2
 # spectrum refuses a cutoff with more eigenvalues than this in either family
 _MAX_LEVELS = 100_000
 
+# weighted_gram refuses a truncated series whose tail bound exceeds this
+_TAIL_TOL = 1e-8
+
 
 class PoleError(ArithmeticError):
     """Evaluation too close to a genuine singularity of F."""
@@ -40,30 +43,20 @@ class ConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """One of the four self-adjointness classes for H^2(0,1) restrictions.
+    """The two self-adjointness classes for H^2(0,1) restrictions that the
+    program uses.
 
-    two-dim:   g'(0) = b1 g(0) + c g(1),  g'(1) = -conj(c) g(0) - b2 g(1)
     one-dim-a: g'(0) = b1 g(0) + conj(c) g'(1),  g(1) = c g(0)
-    one-dim-b: g'(1) = -b1 g(1),  g(0) = 0
     dirichlet: g(0) = 0 = g(1)
     """
 
     variant: str
     b1: float = 0.0
-    b2: float = 0.0
     c: complex = 0.0
-
-    @classmethod
-    def two_dim(cls, b1: float, b2: float, c: complex) -> "BoundaryCondition":
-        return cls("two-dim", b1=b1, b2=b2, c=c)
 
     @classmethod
     def one_dim_a(cls, b1: float, c: complex) -> "BoundaryCondition":
         return cls("one-dim-a", b1=b1, c=c)
-
-    @classmethod
-    def one_dim_b(cls, b1: float) -> "BoundaryCondition":
-        return cls("one-dim-b", b1=b1)
 
     @classmethod
     def dirichlet(cls) -> "BoundaryCondition":
@@ -96,9 +89,11 @@ def _gram_from_quadrature() -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def deficiency_model(terms: int = 10_000, tail_tol: float = 1e-8) -> DeficiencyModel:
+def deficiency_model(terms: int = 10_000) -> DeficiencyModel:
     """Model with basis {1, x}, V spanned by 1 - 2x, and the weighted Gram
     entry evaluated by the even-mode eigenfunction series."""
+    if terms < 1:
+        raise DomainError(f"terms = {terms!r}; at least one series term is required")
     n = np.arange(2, 2 * terms + 1, 2, dtype=float)
     c2 = 8.0 / (n * n * math.pi ** 2)  # squared series coefficients
     n_max = n[-1]
@@ -108,9 +103,9 @@ def deficiency_model(terms: int = 10_000, tail_tol: float = 1e-8) -> DeficiencyM
     def weighted_gram(mu: float) -> np.ndarray:
         if mu > M_S + 1e-12:
             raise DomainError(f"weighted_gram needs mu <= m(S) = {M_S}")
-        if tail_bound > tail_tol:
+        if tail_bound > _TAIL_TOL:
             raise ConvergenceError(
-                f"series tail bound {tail_bound:.3e} exceeds {tail_tol:.3e}")
+                f"series tail bound {tail_bound:.3e} exceeds {_TAIL_TOL:.3e}")
         value = float(np.sum(c2 / (n * n * math.pi ** 2 - mu)))
         return np.array([[value]])
 

@@ -61,10 +61,6 @@ class Bracket:
                 f"no sign change: f({self.lo})={self.f_lo}, f({self.hi})={self.f_hi}"
             )
 
-    @classmethod
-    def from_function(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":
-        return cls(lo, hi, f(lo), f(hi))
-
 
 def bisect(f: Callable[[float], float], b: Bracket, tol: float = 1e-12) -> float:
     """Root of f inside the bracket, located to an interval of width <= tol."""
@@ -174,28 +170,21 @@ def _as_symmetric(A: np.ndarray) -> np.ndarray:
 
 def eig_sym(A: np.ndarray, B: Optional[np.ndarray] = None,
             count: Optional[int] = None) -> np.ndarray:
-    """Smallest `count` eigenvalues of A v = lambda B v, ascending.
-
-    B (when given) must be positive definite; the pencil is reduced to a
-    standard problem through its Cholesky factor.
-    """
+    """Smallest `count` eigenvalues (all when None) of A v = lambda B v,
+    ascending.  B (when given) must be positive definite; only the
+    requested eigenvalues are computed."""
     A = _as_symmetric(A)
-    if B is None:
-        w = scipy.linalg.eigh(A, eigvals_only=True)
-    else:
+    if B is not None:
         B = _as_symmetric(B)
-        try:
-            L = np.linalg.cholesky(B)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError("B is not positive definite") from exc
-        C = scipy.linalg.solve_triangular(
-            L, scipy.linalg.solve_triangular(L, A, lower=True).T, lower=True)
-        w = scipy.linalg.eigh(0.5 * (C + C.T), eigvals_only=True)
-    if count is not None:
-        if not 1 <= count <= A.shape[0]:
-            raise DomainError(f"count must be in 1..{A.shape[0]}")
-        w = w[:count]
-    return w
+    n = A.shape[0]
+    if count is None:
+        count = n
+    if not 1 <= count <= n:
+        raise DomainError(f"count must be in 1..{n}")
+    try:
+        return scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, count - 1))
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(str(exc)) from exc
 
 
 def is_psd(A: np.ndarray, tol: float = 1e-10) -> bool:

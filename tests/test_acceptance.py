@@ -106,9 +106,10 @@ def test_criterion_05_named_spectra(records):
 
 def test_criterion_06_fem_convergence(records):
     ok = True
-    for name in ("dirichlet", "antiperiodic"):
+    for name, label in (("dirichlet", "Friedrichs"), ("antiperiodic", "Top")):
         r = records[f"convergence-{name}"]
-        ok = ok and r.passed and abs(r.parameters["order"] - 2.0) <= ORDER_WINDOW
+        ok = (ok and r.passed and r.classification == label
+              and abs(r.parameters["order"] - 2.0) <= ORDER_WINDOW)
     report(6, "oracle converges at order 2.0 +/- 0.2 (n = 500 vs 1000)", ok)
 
 

@@ -203,6 +203,8 @@ class TestVerifyCommand:
     ("interval", "spectrum", "--t=-inf"),
     ("interval", "spectrum", "--t=-1e300"),
     ("interval", "spectrum", "--t", "12", "--cutoff", "1e20"),
+    ("interval", "tq", "--terms", "0"),
+    ("interval", "secular", "--min", "0", "--max", "inf"),
 ])
 def test_nan_input_is_a_domain_error(capsys, argv):
     name = [a for a in argv if a.startswith("--")][-1][2:].split("=")[0]

@@ -111,6 +111,15 @@ class TestEigenvalue:
             assert E < 0.0
             assert abs(script_F(nu, E) - alpha) <= 1e-10
 
+    @pytest.mark.parametrize("nu, alpha", [(1e-300, -1e10),
+                                           (902579.1307596485, 996028.6076256447)])
+    def test_roots_at_extreme_nu(self, nu, alpha):
+        # s/nu in F_nu overflowed for the tiny nu, and rounded F past the
+        # residual bound for the large one
+        E = coulomb_eigenvalue(nu, alpha)
+        assert E < 0.0
+        assert abs(script_F(nu, E) - alpha) <= 1e-10
+
     def test_overflowing_eigenvalue_is_a_domain_error(self):
         with pytest.raises(DomainError, match="^alpha = -1e\\+200"):
             coulomb_eigenvalue(1.0, -1e200)

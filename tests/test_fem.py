@@ -16,16 +16,12 @@ class TestAssembly:
         assert fem.assemble(16, BoundaryCondition.dirichlet()).dim == 15
         assert fem.assemble(16, Periodic()).dim == 16
         assert fem.assemble(16, AntiPeriodicRobin(1.0)).dim == 16
-        assert fem.assemble(16, BoundaryCondition.two_dim(1.0, 2.0, 0.5)).dim == 17
-        assert fem.assemble(16, BoundaryCondition.one_dim_b(1.0)).dim == 16
 
     def test_too_coarse(self):
         with pytest.raises(DomainError):
             fem.assemble(4, Periodic())
 
     def test_complex_coupling_rejected(self):
-        with pytest.raises(UnsupportedBCError):
-            fem.assemble(16, BoundaryCondition.two_dim(0.0, 0.0, 1j))
         with pytest.raises(UnsupportedBCError):
             fem.assemble(16, BoundaryCondition.one_dim_a(0.0, 1j))
 
@@ -53,8 +49,7 @@ class TestAssembly:
         assert np.array_equal(op.mass, M_ref)
 
     def test_exactly_symmetric(self):
-        for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.two_dim(1.0, -2.0, 0.3),
-                   BoundaryCondition.one_dim_a(0.5, 0.3), BoundaryCondition.one_dim_b(0.7),
+        for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.one_dim_a(0.5, 0.3),
                    Periodic(), AntiPeriodicRobin(-3.0)):
             op = fem.assemble(64, bc)
             assert np.array_equal(op.stiffness, op.stiffness.T), bc
@@ -62,8 +57,7 @@ class TestAssembly:
 
     def test_mass_positive_definite(self):
         for bc in (Periodic(), AntiPeriodicRobin(-3.0),
-                   BoundaryCondition.dirichlet(),
-                   BoundaryCondition.two_dim(1.0, -1.0, 0.2)):
+                   BoundaryCondition.dirichlet()):
             op = fem.assemble(32, bc)
             assert np.all(np.linalg.eigvalsh(op.mass) > 0)
             assert np.allclose(op.stiffness, op.stiffness.T)
@@ -124,19 +118,16 @@ class TestDiscreteBottoms:
             analytic = interval.spectrum(interval.b_to_t(b), cutoff=50.0).bottom
             assert fem.discrete_bottom(300, AntiPeriodicRobin(b)) >= analytic - 1e-10
 
-    def test_neumann_like_two_dim(self):
-        # b1 = b2 = c = 0 gives the free (Neumann) Laplacian, bottom 0
-        assert abs(fem.discrete_bottom(100, BoundaryCondition.two_dim(0.0, 0.0, 0.0))) < 1e-9
-
-    def test_one_dim_b_bottom(self):
-        # g(0) = 0, g'(1) = 0: eigenvalues ((n + 1/2) pi)^2
-        d = fem.discrete_bottom(200, BoundaryCondition.one_dim_b(0.0))
-        assert abs(d - PI2 / 4.0) < 1e-3
-
     def test_excited_dirichlet_levels(self):
         w = fem.lowest_eigenvalues(fem.assemble(500, BoundaryCondition.dirichlet()), 4)
         for k, val in enumerate(w, start=1):
             assert abs(val - k * k * PI2) < 5e-3 * k ** 4
+
+    def test_k_outside_the_dimension(self):
+        op = fem.assemble(16, BoundaryCondition.dirichlet())
+        for k in (0, op.dim + 1):
+            with pytest.raises(DomainError):
+                fem.lowest_eigenvalues(op, k)
 
 
 class TestVerifyInterval:

@@ -57,7 +57,7 @@ class TestDeficiencyModel:
 
     def test_tail_budget(self):
         with pytest.raises(ConvergenceError):
-            interval.deficiency_model(terms=10, tail_tol=1e-12).weighted_gram(0.0)
+            interval.deficiency_model(terms=10).weighted_gram(0.0)
 
     def test_tq(self):
         tq = kvb.build_q(interval.deficiency_model())

@@ -24,12 +24,12 @@ EULER_GAMMA = 0.57721566490153286061
 class TestBisect:
     def test_sqrt2(self):
         f = lambda x: x * x - 2.0
-        root = bisect(f, Bracket.from_function(f, 1.0, 2.0), tol=1e-12)
+        root = bisect(f, Bracket(1.0, 2.0, f(1.0), f(2.0)), tol=1e-12)
         assert abs(root - math.sqrt(2.0)) < 1e-12
 
     def test_odd_function(self):
         f = lambda x: x
-        root = bisect(f, Bracket.from_function(f, -1.0, 1.0), tol=1e-12)
+        root = bisect(f, Bracket(-1.0, 1.0, f(-1.0), f(1.0)), tol=1e-12)
         assert abs(root) < 1e-12
 
     def test_invalid_bracket(self):
@@ -48,7 +48,7 @@ class TestBisect:
     def test_sign_change_property(self):
         # endpoints of the final interval around the root have opposite signs
         f = lambda x: math.cos(x)
-        root = bisect(f, Bracket.from_function(f, 1.0, 2.0), tol=1e-10)
+        root = bisect(f, Bracket(1.0, 2.0, f(1.0), f(2.0)), tol=1e-10)
         assert f(root - 1e-10) * f(root + 1e-10) < 0
 
 
