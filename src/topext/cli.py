@@ -8,13 +8,15 @@ or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import re
 import sys
 from typing import List, Optional
 
 from . import coulomb, interval, kvb, point, verify as verify_mod
-from .numerics import reject_nonfinite
+from .numerics import DomainError, reject_nonfinite
 
 
 def _fmt(x) -> str:
@@ -23,146 +25,113 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit_pairs(pairs, fmt: str, out) -> None:
-    if fmt == "records":
-        record = {k: v for k, v in pairs}
-        print(json.dumps(record, sort_keys=True), file=out)
-    else:
-        width = max(len(k) for k, _ in pairs)
-        for k, v in pairs:
-            if isinstance(v, (list, tuple)):
-                v = ", ".join(_fmt(x) for x in v)
-            else:
-                v = _fmt(v)
-            print(f"{k:<{width}}  {v}", file=out)
-
-
-def _cmd_interval(args, out) -> int:
-    if args.subcommand == "classify":
-        cls = interval.classify(args.b)
-        bottom = interval.spectrum(cls.t, cutoff=200.0).bottom
-        _emit_pairs([
-            ("example", "interval"), ("b", args.b), ("t", cls.t),
-            ("classification", "Top" if cls.top else "NotTop"),
-            ("margin", cls.margin), ("bottom", bottom),
-        ], args.format, out)
-        return 0
-    if args.subcommand == "spectrum":
-        spec = interval.spectrum(args.t, cutoff=args.cutoff)
-        _emit_pairs([
-            ("example", "interval"), ("t", args.t), ("cutoff", args.cutoff),
-            ("sin_family", list(spec.sin_family)),
-            ("secular_roots", list(spec.secular_roots)),
-            ("bottom", spec.bottom),
-        ], args.format, out)
-        return 0
-    if args.subcommand == "tq":
-        model = interval.deficiency_model(args.terms)
-        tq = kvb.build_q(model)
-        _emit_pairs([
-            ("example", "interval"), ("terms", args.terms),
-            ("m_S", model.m_S), ("q_value", float(tq.q_matrix[0, 0])),
-            ("t_q", tq.t_q_scalar),
-        ], args.format, out)
-        return 0
-    if args.subcommand == "secular":
-        lo, hi, k = args.min, args.max, args.samples
-        reject_nonfinite(min=lo, max=hi)
-        if not (lo < hi and k >= 2):
-            print("secular: need min < max and samples >= 2", file=sys.stderr)
-            return 2
-        sink = open(args.out, "w") if args.out else out
-        try:
-            print("lambda,F,interval", file=sink)
-            for i in range(k):
-                lam = lo + (hi - lo) * i / (k - 1)
-                # the branches of F lie between the poles at (2 n pi)^2
-                x = math.sqrt(max(lam, 0.0)) / (2.0 * math.pi)
-                n = round(x)
-                if n >= 1 and abs(lam - (2.0 * n * math.pi) ** 2) < 1e-6:
-                    continue  # skip the singularity neighbourhood
-                idx = math.floor(x)
-                print(f"{_fmt(lam)},{_fmt(interval.secular_F(lam))},{idx}", file=sink)
-        finally:
-            if args.out:
-                sink.close()
-        return 0
-    raise AssertionError(args.subcommand)
-
-
-def _cmd_point(args, out) -> int:
-    if args.subcommand == "classify":
-        cls = point.classify_point(args.alpha)
-        _emit_pairs([
-            ("example", "point"), ("alpha", args.alpha),
-            ("classification", "Friedrichs" if math.isinf(args.alpha)
-             else ("Top" if cls.top else "NotTop")),
-            ("bottom", cls.bottom),
-        ], args.format, out)
-        return 0
-    if args.subcommand == "spectrum":
-        spec = point.point_spectrum(args.alpha)
-        _emit_pairs([
-            ("example", "point"), ("alpha", args.alpha),
-            ("eigenvalue", spec.eigenvalue if spec.eigenvalue is not None else "none"),
-            ("essential", "[0, inf)"), ("bottom", spec.bottom),
-        ], args.format, out)
-        return 0
-    if args.subcommand == "tq":
-        model = point.deficiency_model_point()
-        tq = kvb.build_q(model)
-        gram = float(model.gram[0, 0])
-        reg = float(model.weighted_gram(1.0)[0, 0])
-        pi2 = math.pi ** 2
-        residual = max(abs(gram - pi2), abs(reg - pi2))
-        _emit_pairs([
-            ("example", "point"), ("m_S", model.m_S),
-            ("norm_G1_sq", gram), ("regularized_norm_sq", reg),
-            ("quad_residual", residual), ("t_q", tq.t_q_scalar),
-        ], args.format, out)
-        return 0 if residual <= args.quad_tol else 1
-    raise AssertionError(args.subcommand)
-
-
-def _cmd_coulomb(args, out) -> int:
-    if args.subcommand == "threshold":
-        _emit_pairs([
-            ("example", "coulomb"), ("nu", args.nu),
-            ("alpha_threshold", coulomb.alpha_threshold(args.nu)),
-        ], args.format, out)
-        return 0
-    if args.subcommand == "eigenvalue":
-        E = coulomb.coulomb_eigenvalue(args.nu, args.alpha)
-        pairs = [("example", "coulomb"), ("nu", args.nu), ("alpha", args.alpha)]
-        if E is None:
-            pairs += [("eigenvalue", "none"),
-                      ("note", "alpha at or above threshold")]
-        else:
-            pairs += [("eigenvalue", E),
-                      ("residual", abs(coulomb.script_F(args.nu, E) - args.alpha))]
-        _emit_pairs(pairs, args.format, out)
-        return 0
-    if args.subcommand == "classify":
-        cls = coulomb.classify_coulomb(args.nu, args.alpha)
-        _emit_pairs([
-            ("example", "coulomb"), ("nu", args.nu), ("alpha", args.alpha),
-            ("alpha_threshold", cls.threshold),
-            ("classification", "Friedrichs" if math.isinf(args.alpha)
-             else ("Top" if cls.top else "NotTop")),
-            ("bottom", cls.bottom),
-        ], args.format, out)
-        return 0
-    raise AssertionError(args.subcommand)
-
-
-def _cmd_verify(args, out) -> int:
-    reports = verify_mod.run(grid=args.grid, only=args.only)
-    if not reports:
-        print(f"verify: --only {args.only!r} matches no example or case", file=sys.stderr)
-        return 2
+def _emit(args, pairs) -> None:
+    """Print ("example", command) and the pairs: aligned rows, or one JSON record."""
+    pairs = [("example", args.command), *pairs]
     if args.format == "records":
+        print(json.dumps(dict(pairs), sort_keys=True))
+        return
+    width = max(len(k) for k, _ in pairs)
+    for k, v in pairs:
+        v = ", ".join(map(_fmt, v)) if isinstance(v, (list, tuple)) else _fmt(v)
+        print(f"{k:<{width}}  {v}")
+
+
+# Handlers return the output pairs after ("example", ...), or an exit code
+# when they write their own output.  Each looks its topext functions up when
+# called, so a wrapper installed on them (e.g. by a tracer) sees the call.
+
+def _interval_classify(a):
+    cls = interval.classify(a.b)
+    return [("b", a.b), ("t", cls.t), ("classification", cls.label),
+            ("margin", a.b), ("bottom", cls.bottom)]
+
+
+def _interval_spectrum(a):
+    spec = interval.spectrum(a.t, cutoff=a.cutoff)
+    return [("t", a.t), ("cutoff", a.cutoff), ("sin_family", spec.sin_family),
+            ("secular_roots", spec.secular_roots), ("bottom", spec.bottom)]
+
+
+def _interval_tq(a):
+    model = interval.deficiency_model(a.terms)
+    tq = kvb.build_q(model)
+    return [("terms", a.terms), ("m_S", model.m_S),
+            ("q_value", float(tq.q_matrix[0, 0])), ("t_q", tq.t_q_scalar)]
+
+
+def _interval_secular(a) -> int:
+    lo, hi, k = a.min, a.max, a.samples
+    reject_nonfinite(min=lo, max=hi)
+    if not (lo < hi and k >= 2):
+        print("secular: need min < max and samples >= 2", file=sys.stderr)
+        return 2
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"max = {hi!r} and min = {lo!r}: max - min overflows a float")
+    with open(a.out, "w") if a.out else contextlib.nullcontext(sys.stdout) as sink:
+        print("lambda,F,interval", file=sink)
+        for i in range(k):
+            lam = lo + (hi - lo) * i / (k - 1)
+            # the branches of F lie between the poles at (2 n pi)^2
+            x = math.sqrt(max(lam, 0.0)) / (2.0 * math.pi)
+            n = round(x)
+            if n >= 1 and abs(lam - (2.0 * n * math.pi) ** 2) < 1e-6:
+                continue  # skip the singularity neighbourhood
+            try:
+                F = interval.secular_F(lam)
+            except interval.PoleError:  # from pole ~500 on its window passes 1e-6
+                continue
+            print(f"{_fmt(lam)},{_fmt(F)},{math.floor(x)}", file=sink)
+    return 0
+
+
+def _point_classify(a):
+    cls = point.classify_point(a.alpha)
+    return [("alpha", a.alpha), ("classification", cls.label), ("bottom", cls.bottom)]
+
+
+def _point_spectrum(a):
+    spec = point.point_spectrum(a.alpha)
+    return [("alpha", a.alpha),
+            ("eigenvalue", spec.eigenvalue if spec.eigenvalue is not None else "none"),
+            ("essential", "[0, inf)"), ("bottom", spec.bottom)]
+
+
+def _point_tq(a) -> int:
+    model = point.deficiency_model_point()
+    tq = kvb.build_q(model)
+    gram = float(model.gram[0, 0])
+    reg = float(model.weighted_gram(1.0)[0, 0])
+    residual = max(abs(gram - math.pi ** 2), abs(reg - math.pi ** 2))
+    _emit(a, [("m_S", model.m_S), ("norm_G1_sq", gram), ("regularized_norm_sq", reg),
+              ("quad_residual", residual), ("t_q", tq.t_q_scalar)])
+    return 0 if residual <= a.quad_tol else 1
+
+
+def _coulomb_eigenvalue(a):
+    E = coulomb.coulomb_eigenvalue(a.nu, a.alpha)
+    if E is None:
+        return [("nu", a.nu), ("alpha", a.alpha), ("eigenvalue", "none"),
+                ("note", "alpha at or above threshold")]
+    return [("nu", a.nu), ("alpha", a.alpha), ("eigenvalue", E),
+            ("residual", abs(coulomb.script_F(a.nu, E) - a.alpha))]
+
+
+def _coulomb_classify(a):
+    cls = coulomb.classify_coulomb(a.nu, a.alpha)
+    return [("nu", a.nu), ("alpha", a.alpha),
+            ("alpha_threshold", coulomb.alpha_threshold(a.nu)),
+            ("classification", cls.label), ("bottom", cls.bottom)]
+
+
+def _verify(a) -> int:
+    reports = verify_mod.run(grid=a.grid, only=a.only)
+    if not reports:
+        print(f"verify: --only {a.only!r} matches no example or case", file=sys.stderr)
+        return 2
+    if a.format == "records":
         for r in reports:
-            print(r.to_record(), file=out)
+            print(r.to_record())
     else:
         width = max(len(r.case) for r in reports)
         for r in reports:
@@ -172,8 +141,39 @@ def _cmd_verify(args, out) -> int:
                 extra = (f"analytic={_fmt(r.bottom_analytic)} "
                          f"oracle={_fmt(r.bottom_oracle)} "
                          f"abs_error={_fmt(r.abs_error)}")
-            print(f"{status}  {r.case:<{width}}  {extra}", file=out)
+            print(f"{status}  {r.case:<{width}}  {extra}")
     return 0 if all(r.passed for r in reports) else 1
+
+
+HELP = {
+    "interval": "Laplacian on (0,1), deficiency index 2",
+    "point": "3D point interaction, deficiency index 1",
+    "coulomb": "radial Coulomb operator on the half line",
+    "verify": "run the full verification matrix",
+}
+
+# (command, subcommand or None, arguments, handler).  An argument is
+# (flag, type) when required and (flag, type, default) otherwise; every
+# command also takes --format.
+NU, ALPHA = ("--nu", float), ("--alpha", float)
+COMMANDS = (
+    ("interval", "classify", [("--b", float)], _interval_classify),
+    ("interval", "spectrum", [("--t", float), ("--cutoff", float, 200.0)], _interval_spectrum),
+    ("interval", "tq", [("--terms", int, 10_000)], _interval_tq),
+    ("interval", "secular", [("--min", float), ("--max", float), ("--samples", int, 500),
+                             ("--out", str, None)], _interval_secular),
+    ("point", "classify", [ALPHA], _point_classify),
+    ("point", "spectrum", [ALPHA], _point_spectrum),
+    ("point", "tq", [("--quad-tol", float, 1e-6)], _point_tq),
+    ("coulomb", "threshold", [NU], lambda a: [
+        ("nu", a.nu), ("alpha_threshold", coulomb.alpha_threshold(a.nu))]),
+    ("coulomb", "eigenvalue", [NU, ALPHA], _coulomb_eigenvalue),
+    ("coulomb", "classify", [NU, ALPHA], _coulomb_classify),
+    ("verify", None, [("--grid", int, 2000), ("--only", str, None)], _verify),
+)
+
+# argparse's own pattern misses exponents: `--b -1e6` would be a usage error
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,75 +182,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-adjoint extensions with the Friedrichs lower bound: "
                     "classification, spectra, and oracle verification.")
     top = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
+    groups = {}  # the parser of a command without subcommands, else its subparsers
+    for command, subcommand, arguments, handler in COMMANDS:
+        if command not in groups:
+            p = top.add_parser(command, help=HELP[command])
+            groups[command] = (p if subcommand is None
+                               else p.add_subparsers(dest="subcommand", required=True))
+        p = groups[command] if subcommand is None else groups[command].add_parser(subcommand)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
+        for flag, type_, *default in arguments:
+            if default:
+                p.add_argument(flag, type=type_, default=default[0])
+            else:
+                p.add_argument(flag, type=type_, required=True)
         p.add_argument("--format", choices=["table", "records"], default="table")
-
-    p_int = top.add_parser("interval", help="Laplacian on (0,1), deficiency index 2")
-    sub = p_int.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("classify")
-    p.add_argument("--b", type=float, required=True)
-    add_format(p)
-    p = sub.add_parser("spectrum")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--cutoff", type=float, default=200.0)
-    add_format(p)
-    p = sub.add_parser("tq")
-    p.add_argument("--terms", type=int, default=10_000)
-    add_format(p)
-    p = sub.add_parser("secular")
-    p.add_argument("--min", type=float, required=True)
-    p.add_argument("--max", type=float, required=True)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--out", type=str, default=None)
-    add_format(p)
-
-    p_pt = top.add_parser("point", help="3D point interaction, deficiency index 1")
-    sub = p_pt.add_subparsers(dest="subcommand", required=True)
-    for name in ("classify", "spectrum"):
-        p = sub.add_parser(name)
-        p.add_argument("--alpha", type=float, required=True)
-        add_format(p)
-    p = sub.add_parser("tq")
-    p.add_argument("--quad-tol", type=float, default=1e-6)
-    add_format(p)
-
-    p_cb = top.add_parser("coulomb", help="radial Coulomb operator on the half line")
-    sub = p_cb.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("threshold")
-    p.add_argument("--nu", type=float, required=True)
-    add_format(p)
-    for name in ("eigenvalue", "classify"):
-        p = sub.add_parser(name)
-        p.add_argument("--nu", type=float, required=True)
-        p.add_argument("--alpha", type=float, required=True)
-        add_format(p)
-
-    p_ver = top.add_parser("verify", help="run the full verification matrix")
-    p_ver.add_argument("--grid", type=int, default=2000)
-    p_ver.add_argument("--only", type=str, default=None)
-    add_format(p_ver)
-
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "interval":
-            return _cmd_interval(args, out)
-        if args.command == "point":
-            return _cmd_point(args, out)
-        if args.command == "coulomb":
-            return _cmd_coulomb(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
+        result = args.handler(args)
     except (ArithmeticError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(args.command)
+    if isinstance(result, int):
+        return result
+    _emit(args, result)
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,12 +11,12 @@ F_nu(E) = alpha built from the digamma function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .numerics import Bracket, DomainError, SearchError, bisect, digamma, reject_nonfinite
+from .kvb import Classification
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -86,18 +86,9 @@ def coulomb_eigenvalue(nu: float, alpha: float) -> Optional[float]:
     return E
 
 
-@dataclass(frozen=True)
-class Classification:
-    top: bool
-    bottom: float
-    threshold: float
-
-
 def classify_coulomb(nu: float, alpha: float) -> Classification:
     """Top iff alpha >= alpha_nu (boundary inclusive; alpha = inf is the
-    Friedrichs extension and always Top)."""
-    threshold = alpha_threshold(nu)
-    if alpha >= threshold:
-        return Classification(top=True, bottom=0.0, threshold=threshold)
-    E = coulomb_eigenvalue(nu, alpha)
-    return Classification(top=False, bottom=E, threshold=threshold)
+    Friedrichs extension and always top)."""
+    top = alpha >= alpha_threshold(nu)
+    bottom = 0.0 if top else coulomb_eigenvalue(nu, alpha)
+    return Classification.of(top=top, bottom=bottom, friedrichs=alpha == math.inf)

@@ -22,7 +22,7 @@ import numpy as np
 # SearchError stays importable from here for callers that catch it by module
 from .numerics import (Bracket, DomainError, QuadratureRule, SearchError, bisect,
                        integrate, reject_nonfinite)
-from .kvb import DeficiencyModel
+from .kvb import Classification, DeficiencyModel
 
 M_S = math.pi ** 2
 
@@ -104,8 +104,8 @@ def deficiency_model(terms: int = 10_000) -> DeficiencyModel:
         if mu > M_S + 1e-12:
             raise DomainError(f"weighted_gram needs mu <= m(S) = {M_S}")
         if tail_bound > _TAIL_TOL:
-            raise ConvergenceError(
-                f"series tail bound {tail_bound:.3e} exceeds {_TAIL_TOL:.3e}")
+            raise ConvergenceError(f"terms = {terms!r}: series tail bound "
+                                   f"{tail_bound:.3e} exceeds {_TAIL_TOL:.3e}")
         value = float(np.sum(c2 / (n * n * math.pi ** 2 - mu)))
         return np.array([[value]])
 
@@ -192,7 +192,7 @@ def spectrum(t: float, cutoff: float = 200.0) -> IntervalSpectrum:
     while (2 * n + 1) ** 2 * math.pi ** 2 <= cutoff:
         sin_family.append((2 * n + 1) ** 2 * math.pi ** 2)
         n += 1
-    first_root = _secular_root(0, t)
+    first_root = _lowest_root(t)
     roots = [first_root] if first_root <= cutoff else []
     k = 1
     while _singularity(k) < cutoff:
@@ -200,15 +200,20 @@ def spectrum(t: float, cutoff: float = 200.0) -> IntervalSpectrum:
         if root <= cutoff:
             roots.append(root)
         k += 1
-    bottom = min(math.pi ** 2, first_root)
-    return IntervalSpectrum(sin_family=sin_family, secular_roots=roots, bottom=bottom)
+    return IntervalSpectrum(sin_family=sin_family, secular_roots=roots, bottom=_bottom(t))
 
 
-@dataclass(frozen=True)
-class Classification:
-    top: bool
-    t: float
-    margin: float
+@lru_cache(maxsize=1)
+def _lowest_root(t: float) -> float:
+    """The secular root on branch 0, kept for the last t: classify(b) and
+    then spectrum(t) at its level solve for it once."""
+    return _secular_root(0, t)
+
+
+def _bottom(t: float) -> float:
+    """The bottom at level t: the lowest secular root or pi^2, the bottom of
+    the sin family, whichever is lower."""
+    return min(M_S, _lowest_root(t))
 
 
 def classify(b: float) -> Classification:
@@ -217,4 +222,4 @@ def classify(b: float) -> Classification:
     t = b_to_t(b)
     if not math.isfinite(t):
         raise DomainError(f"b = {b!r}: t = 3b + 12 overflows a float")
-    return Classification(top=b >= 0.0, t=t, margin=b)
+    return Classification.of(top=b >= 0.0, bottom=_bottom(t), t=t)

@@ -116,6 +116,26 @@ class ExtensionParameter:
 
 
 @dataclass(frozen=True)
+class Classification:
+    """One example's verdict on one extension: top (keeps the Friedrichs
+    bottom m(S)) or not, its spectral bottom, its label, and for the
+    interval the level t.  Build it with `of`."""
+
+    top: bool
+    bottom: float
+    label: str
+    t: Optional[float] = None
+
+    @classmethod
+    def of(cls, top: bool, bottom: float, friedrichs: bool = False,
+           t: Optional[float] = None) -> "Classification":
+        """The one label rule: the Friedrichs extension (alpha = +inf, or
+        Dirichlet conditions) is "Friedrichs", any other "Top" or "NotTop"."""
+        label = "Friedrichs" if friedrichs else ("Top" if top else "NotTop")
+        return cls(top, bottom, label, t)
+
+
+@dataclass(frozen=True)
 class TqResult:
     """The form q on its domain V, plus the scalar level when dim V = 1."""
 

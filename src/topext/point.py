@@ -17,9 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numerics import DomainError, QuadratureRule, integrate, reject_nonfinite
-from .kvb import DeficiencyModel, ExtensionParameter
-
-FRIEDRICHS = math.inf
+from .kvb import Classification, DeficiencyModel, ExtensionParameter
 
 SHIFT = 1.0  # the spectra below are reported for the unshifted operator
 
@@ -99,13 +97,8 @@ def point_spectrum(alpha: float) -> PointSpectrum:
     return PointSpectrum(eigenvalue=-x ** 2)
 
 
-@dataclass(frozen=True)
-class Classification:
-    top: bool
-    bottom: float
-
-
 def classify_point(alpha: float) -> Classification:
-    """Top iff alpha >= 0 (Friedrichs included): those extensions keep the
-    unshifted bottom 0."""
-    return Classification(top=alpha >= 0.0, bottom=point_spectrum(alpha).bottom)
+    """Top iff alpha >= 0 (Friedrichs, alpha = inf, included): those
+    extensions keep the unshifted bottom 0."""
+    return Classification.of(top=alpha >= 0.0, bottom=point_spectrum(alpha).bottom,
+                             friedrichs=alpha == math.inf)

@@ -104,52 +104,56 @@ def cases_interval_classify(grid: int) -> List[Report]:
         cls = interval.classify(b)
         analytic = interval.spectrum(cls.t, cutoff=200.0).bottom
         discrete = fem.discrete_bottom(grid, fem.AntiPeriodicRobin(b))
-        ok = _oracle_close(analytic, discrete) and cls.top == (b >= 0.0)
+        ok = (_oracle_close(analytic, discrete) and cls.top == (b >= 0.0)
+              and cls.bottom == analytic)
         if b < 0:
             ok = ok and discrete < PI2
         reports.append(Report(
             case=f"interval-classify-b={b:g}", example="interval",
             parameters={"b": b, "grid": grid}, m_S=PI2, t_q=12.0,
-            classification="Top" if cls.top else "NotTop",
-            bottom_analytic=analytic, bottom_oracle=discrete,
+            classification=cls.label, bottom_analytic=analytic, bottom_oracle=discrete,
             abs_error=abs(discrete - analytic), passed=ok))
     return reports
 
 
+# the Friedrichs extension of the interval operator: Dirichlet conditions
+DIRICHLET = kvb.Classification.of(top=True, bottom=PI2, friedrichs=True)
+
+
 def cases_named_spectra(grid: int) -> List[Report]:
     specs = [
-        ("Dirichlet", interval.BoundaryCondition.dirichlet(), PI2, ORACLE_REL_TOL * PI2),
-        ("Periodic", fem.Periodic(), 0.0, PERIODIC_ABS_TOL),
-        ("AntiPeriodic", fem.AntiPeriodicRobin(0.0), PI2, ORACLE_REL_TOL * PI2),
+        ("Dirichlet", interval.BoundaryCondition.dirichlet(), DIRICHLET, ORACLE_REL_TOL * PI2),
+        ("Periodic", fem.Periodic(), kvb.Classification.of(top=False, bottom=0.0),
+         PERIODIC_ABS_TOL),
+        ("AntiPeriodic", fem.AntiPeriodicRobin(0.0), interval.classify(0.0),
+         ORACLE_REL_TOL * PI2),
     ]
     reports = []
-    for name, bc, analytic, tol in specs:
+    for name, bc, cls, tol in specs:
         discrete = fem.discrete_bottom(grid, bc)
-        err = abs(discrete - analytic)
+        err = abs(discrete - cls.bottom)
         reports.append(Report(
             case=f"named-{name.lower()}", example="interval",
-            parameters={"grid": grid}, m_S=PI2,
-            classification="Friedrichs" if name == "Dirichlet"
-            else ("Top" if analytic == PI2 else "NotTop"),
-            bottom_analytic=analytic, bottom_oracle=discrete,
+            parameters={"grid": grid}, m_S=PI2, classification=cls.label,
+            bottom_analytic=cls.bottom, bottom_oracle=discrete,
             abs_error=err, passed=err <= tol))
     return reports
 
 
 def cases_convergence() -> List[Report]:
     reports = []
-    for name, bc, analytic, label in [
-        ("dirichlet", interval.BoundaryCondition.dirichlet(), PI2, "Friedrichs"),
-        ("antiperiodic", fem.AntiPeriodicRobin(0.0), PI2, "Top"),
+    for name, bc, cls in [
+        ("dirichlet", interval.BoundaryCondition.dirichlet(), DIRICHLET),
+        ("antiperiodic", fem.AntiPeriodicRobin(0.0), interval.classify(0.0)),
     ]:
-        e_500 = abs(fem.discrete_bottom(500, bc) - analytic)
-        e_1000 = abs(fem.discrete_bottom(1000, bc) - analytic)
+        e_500 = abs(fem.discrete_bottom(500, bc) - cls.bottom)
+        e_1000 = abs(fem.discrete_bottom(1000, bc) - cls.bottom)
         order = math.log2(e_500 / e_1000)
         ok = abs(order - 2.0) <= ORDER_WINDOW
         reports.append(Report(
             case=f"convergence-{name}", example="interval",
             parameters={"grids": 500.0, "order": order}, m_S=PI2,
-            classification=label, bottom_analytic=analytic, passed=ok,
+            classification=cls.label, bottom_analytic=cls.bottom, passed=ok,
             detail=f"order={order!r}"))
     return reports
 
@@ -215,11 +219,11 @@ def cases_point() -> List[Report]:
     for alpha in (-1.0, -1.0 / (4 * math.pi), -1e-3, 0.0, 1.0):
         expected = -(4.0 * math.pi * alpha) ** 2 if alpha < 0 else None
         spec = point.point_spectrum(alpha)
-        ok = spec.eigenvalue == expected
+        cls = point.classify_point(alpha)
+        ok = spec.eigenvalue == expected and cls.bottom == spec.bottom
         reports.append(Report(
             case=f"point-spectrum-alpha={alpha:g}", example="point",
-            parameters={"alpha": alpha}, m_S=1.0,
-            classification="Top" if alpha >= 0 else "NotTop",
+            parameters={"alpha": alpha}, m_S=1.0, classification=cls.label,
             bottom_analytic=spec.bottom, passed=ok))
     # classify agreement with the abstract criterion on an alpha grid
     model = point.deficiency_model_point()

@@ -75,6 +75,17 @@ class TestIntervalCommands:
         assert code == 0
         assert out.strip().splitlines() == ["lambda,F,interval"]
 
+    def test_secular_skips_relative_pole_window(self, capsys):
+        # near pole k = 1000 the 1e-13 relative window of secular_F is wider
+        # than the 1e-6 absolute skip: the first sample lies between the two
+        code, out, err = run_cli(capsys, "interval", "secular",
+                                 "--min", "39478417.604359426", "--max", "39478418.6",
+                                 "--samples", "2")
+        assert (code, err) == (0, "")
+        header, *rows = out.strip().splitlines()
+        assert header == "lambda,F,interval"
+        assert [r.split(",")[0] for r in rows] == ["39478418.6"]
+
     def test_secular_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "interval", "secular", "--min", "10",
                                "--max", "5")
@@ -205,6 +216,8 @@ class TestVerifyCommand:
     ("interval", "spectrum", "--t", "12", "--cutoff", "1e20"),
     ("interval", "tq", "--terms", "0"),
     ("interval", "secular", "--min", "0", "--max", "inf"),
+    ("interval", "secular", "--min=-1e308", "--max", "1e308"),
+    ("interval", "tq", "--terms", "10"),
 ])
 def test_nan_input_is_a_domain_error(capsys, argv):
     name = [a for a in argv if a.startswith("--")][-1][2:].split("=")[0]
@@ -212,6 +225,20 @@ def test_nan_input_is_a_domain_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {name} ")
+
+
+# argparse's default negative-number pattern has no exponent
+@pytest.mark.parametrize("argv", [
+    ("interval", "classify", "--b", "-1e6"),
+    ("interval", "spectrum", "--t", "-1e9"),
+    ("point", "classify", "--alpha", "-1e-3"),
+    ("coulomb", "classify", "--nu", "1", "--alpha", "-1E+2"),
+])
+def test_negative_exponent_is_a_value(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    joined = (*argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert run_cli(capsys, *joined) == (0, out, "")
 
 
 class TestUsageErrors:
