@@ -66,8 +66,10 @@ def _interval_secular(a) -> int:
     if not (lo < hi and k >= 2):
         print("secular: need min < max and samples >= 2", file=sys.stderr)
         return 2
-    if not math.isfinite(hi - lo):
-        raise DomainError(f"max = {hi!r} and min = {lo!r}: max - min overflows a float")
+    # the samples lo + (hi - lo) * i / (k - 1) need (hi - lo) * i finite
+    if not math.isfinite((hi - lo) * (k - 1)):
+        raise DomainError(f"max = {hi!r} and min = {lo!r}: (max - min) * (samples - 1) "
+                          "overflows a float")
     with open(a.out, "w") if a.out else contextlib.nullcontext(sys.stdout) as sink:
         print("lambda,F,interval", file=sink)
         for i in range(k):

@@ -222,4 +222,8 @@ def classify(b: float) -> Classification:
     t = b_to_t(b)
     if not math.isfinite(t):
         raise DomainError(f"b = {b!r}: t = 3b + 12 overflows a float")
-    return Classification.of(top=b >= 0.0, bottom=_bottom(t), t=t)
+    try:
+        bottom = _bottom(t)
+    except DomainError as exc:
+        raise DomainError(f"b = {b!r}: {exc}") from exc
+    return Classification.of(top=b >= 0.0, bottom=bottom, t=t)

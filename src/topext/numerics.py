@@ -1,7 +1,7 @@
 """Self-contained numerical kernels.
 
-Bracketed bisection, composite quadrature, the digamma function, a dense
-symmetric (generalized) eigensolver, and a positive-semidefiniteness test.
+Bracketed bisection, composite quadrature, the digamma function, and a
+positive-semidefiniteness test.
 Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
@@ -166,25 +166,6 @@ def _as_symmetric(A: np.ndarray) -> np.ndarray:
     if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(A).max())):
         raise DomainError("matrix is not symmetric")
     return 0.5 * (A + A.T)
-
-
-def eig_sym(A: np.ndarray, B: Optional[np.ndarray] = None,
-            count: Optional[int] = None) -> np.ndarray:
-    """Smallest `count` eigenvalues (all when None) of A v = lambda B v,
-    ascending.  B (when given) must be positive definite; only the
-    requested eigenvalues are computed."""
-    A = _as_symmetric(A)
-    if B is not None:
-        B = _as_symmetric(B)
-    n = A.shape[0]
-    if count is None:
-        count = n
-    if not 1 <= count <= n:
-        raise DomainError(f"count must be in 1..{n}")
-    try:
-        return scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, count - 1))
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(str(exc)) from exc
 
 
 def is_psd(A: np.ndarray, tol: float = 1e-10) -> bool:

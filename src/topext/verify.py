@@ -27,6 +27,8 @@ ORDER_WINDOW = 0.2
 SUP_REL_TOL = 1e-12
 COULOMB_LIMIT_TOL = 1e-4
 COULOMB_RESIDUAL_TOL = 1e-10
+RICHARDSON_REL_TOL = 1e-8
+ONE_SIDED_REL_TOL = 1e-9
 
 CLASSIFY_BS = (-4.0, -1.0, -0.25, 0.0, 0.5, 5.0, 50.0)
 
@@ -55,6 +57,19 @@ class Report:
 
 def _oracle_close(analytic: float, discrete: float) -> bool:
     return abs(discrete - analytic) <= ORACLE_REL_TOL * max(abs(analytic), 1.0)
+
+
+def _oracle_tight(analytic: float, discrete: float, grid: int, bc) -> tuple:
+    """(ok, detail) of the two checks that the O(h^2), one-sided P1 error
+    allows: the Richardson extrapolation (4 lambda_grid - lambda_grid/2) / 3
+    within RICHARDSON_REL_TOL, and the oracle not below the analytic bottom
+    by more than ONE_SIDED_REL_TOL (both relative to max(1, |analytic|))."""
+    scale = max(1.0, abs(analytic))
+    extrapolated = (4.0 * discrete - fem.discrete_bottom(grid // 2, bc)) / 3.0
+    richardson = abs(extrapolated - analytic)
+    ok = (richardson <= RICHARDSON_REL_TOL * scale
+          and discrete >= analytic - ONE_SIDED_REL_TOL * scale)
+    return ok, f"richardson={extrapolated!r} richardson_error={richardson!r}"
 
 
 def case_interval_tq(terms: int = 10_000) -> Report:
@@ -103,8 +118,10 @@ def cases_interval_classify(grid: int) -> List[Report]:
     for b in CLASSIFY_BS:
         cls = interval.classify(b)
         analytic = interval.spectrum(cls.t, cutoff=200.0).bottom
-        discrete = fem.discrete_bottom(grid, fem.AntiPeriodicRobin(b))
-        ok = (_oracle_close(analytic, discrete) and cls.top == (b >= 0.0)
+        bc = fem.AntiPeriodicRobin(b)
+        discrete = fem.discrete_bottom(grid, bc)
+        tight, detail = _oracle_tight(analytic, discrete, grid, bc)
+        ok = (_oracle_close(analytic, discrete) and tight and cls.top == (b >= 0.0)
               and cls.bottom == analytic)
         if b < 0:
             ok = ok and discrete < PI2
@@ -112,7 +129,7 @@ def cases_interval_classify(grid: int) -> List[Report]:
             case=f"interval-classify-b={b:g}", example="interval",
             parameters={"b": b, "grid": grid}, m_S=PI2, t_q=12.0,
             classification=cls.label, bottom_analytic=analytic, bottom_oracle=discrete,
-            abs_error=abs(discrete - analytic), passed=ok))
+            abs_error=abs(discrete - analytic), passed=ok, detail=detail))
     return reports
 
 
@@ -132,11 +149,12 @@ def cases_named_spectra(grid: int) -> List[Report]:
     for name, bc, cls, tol in specs:
         discrete = fem.discrete_bottom(grid, bc)
         err = abs(discrete - cls.bottom)
+        tight, detail = _oracle_tight(cls.bottom, discrete, grid, bc)
         reports.append(Report(
             case=f"named-{name.lower()}", example="interval",
             parameters={"grid": grid}, m_S=PI2, classification=cls.label,
             bottom_analytic=cls.bottom, bottom_oracle=discrete,
-            abs_error=err, passed=err <= tol))
+            abs_error=err, passed=err <= tol and tight, detail=detail))
     return reports
 
 

@@ -24,6 +24,8 @@ ORDER_WINDOW = 0.2
 SUP_REL_TOL = 1e-12
 COULOMB_LIMIT_TOL = 1e-4
 COULOMB_RESIDUAL_TOL = 1e-10
+RICHARDSON_REL_TOL = 1e-8
+ONE_SIDED_REL_TOL = 1e-9
 
 CLASSIFY_BS = (-4.0, -1.0, -0.25, 0.0, 0.5, 5.0, 50.0)
 POINT_ALPHAS = (-1.0, -1.0 / (4.0 * math.pi), -1e-3, 0.0, 1.0)
@@ -46,6 +48,12 @@ def test_case_table_covers_records(records):
                    for example, prefix, _ in verify.CASES), r.case
 
 
+def one_sided(r) -> bool:
+    # the conforming P1 oracle over-estimates the bottom, up to rounding
+    scale = max(1.0, abs(r.bottom_analytic))
+    return r.bottom_oracle >= r.bottom_analytic - ONE_SIDED_REL_TOL * scale
+
+
 def report(number: int, label: str, ok: bool) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  criterion {number:2d}: {label}")
     assert ok, f"criterion {number}: {label}"
@@ -56,7 +64,9 @@ def test_tolerances_pinned():
               "ORACLE_REL_TOL": ORACLE_REL_TOL, "PERIODIC_ABS_TOL": PERIODIC_ABS_TOL,
               "ORDER_WINDOW": ORDER_WINDOW, "SUP_REL_TOL": SUP_REL_TOL,
               "COULOMB_LIMIT_TOL": COULOMB_LIMIT_TOL,
-              "COULOMB_RESIDUAL_TOL": COULOMB_RESIDUAL_TOL}
+              "COULOMB_RESIDUAL_TOL": COULOMB_RESIDUAL_TOL,
+              "RICHARDSON_REL_TOL": RICHARDSON_REL_TOL,
+              "ONE_SIDED_REL_TOL": ONE_SIDED_REL_TOL}
     drift = {name: getattr(verify, name) for name, value in pinned.items()
              if getattr(verify, name) != value}
     assert not drift, f"verify tolerances differ from the pinned literals: {drift}"
@@ -89,13 +99,14 @@ def test_criterion_04_classification_boundary(records):
               and r.classification == ("Top" if b >= 0.0 else "NotTop")
               and r.abs_error == abs(r.bottom_oracle - r.bottom_analytic)
               and r.abs_error <= ORACLE_REL_TOL * max(abs(r.bottom_analytic), 1.0)
+              and one_sided(r)
               and (b >= 0.0 or r.bottom_oracle < PI2))
     report(4, "classify boundary at b = 0; oracle bottoms match on 7 b's", ok)
 
 
 def test_criterion_05_named_spectra(records):
     d, p, a = (records[f"named-{name}"] for name in ("dirichlet", "periodic", "antiperiodic"))
-    ok = (all(r.passed for r in (d, p, a))
+    ok = (all(r.passed and one_sided(r) for r in (d, p, a))
           and (d.classification, p.classification, a.classification)
           == ("Friedrichs", "NotTop", "Top")
           and abs(d.bottom_oracle - PI2) <= ORACLE_REL_TOL * PI2

@@ -217,6 +217,8 @@ class TestVerifyCommand:
     ("interval", "tq", "--terms", "0"),
     ("interval", "secular", "--min", "0", "--max", "inf"),
     ("interval", "secular", "--min=-1e308", "--max", "1e308"),
+    ("interval", "secular", "--samples", "3", "--min=-1e308", "--max", "1e307"),
+    ("interval", "classify", "--b=-1e200"),
     ("interval", "tq", "--terms", "10"),
 ])
 def test_nan_input_is_a_domain_error(capsys, argv):

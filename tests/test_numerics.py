@@ -9,11 +9,9 @@ from topext.numerics import (
     BracketError,
     DomainError,
     EvaluationError,
-    FactorizationError,
     QuadratureRule,
     bisect,
     digamma,
-    eig_sym,
     integrate,
     is_psd,
 )
@@ -122,56 +120,6 @@ class TestDigamma:
             digamma(-1.5)
 
 
-class TestEigSym:
-    def test_tridiagonal_closed_form(self):
-        n = 50
-        A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        w = eig_sym(A, count=n)
-        exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))
-        assert np.allclose(w, np.sort(exact), atol=1e-12)
-
-    def test_identity(self):
-        assert np.allclose(eig_sym(np.eye(4)), np.ones(4))
-
-    def test_two_by_two(self):
-        w = eig_sym(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert np.allclose(w, [-1.0, 3.0])
-
-    def test_generalized_residual(self):
-        rng = np.random.default_rng(7)
-        n = 30
-        A = rng.standard_normal((n, n))
-        A = 0.5 * (A + A.T)
-        C = rng.standard_normal((n, n))
-        B = C @ C.T + n * np.eye(n)
-        w = eig_sym(A, B, count=5)
-        wf, vf = np.linalg.eigh(np.linalg.solve(B, A) @ np.eye(n)), None
-        # residual check against a direct dense solve of the pencil
-        import scipy.linalg
-        w_all, v_all = scipy.linalg.eigh(A, B)
-        assert np.allclose(w, w_all[:5], atol=1e-10 * np.linalg.norm(A, 2))
-        for i in range(5):
-            v = v_all[:, i]
-            r = np.linalg.norm(A @ v - w_all[i] * B @ v) / np.linalg.norm(v)
-            assert r <= 1e-10 * np.linalg.norm(A, 2)
-
-    def test_congruence_invariance(self):
-        rng = np.random.default_rng(11)
-        n = 20
-        A = rng.standard_normal((n, n))
-        A = 0.5 * (A + A.T)
-        C = rng.standard_normal((n, n))
-        B = C @ C.T + n * np.eye(n)
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        w1 = eig_sym(A, B, count=n)
-        w2 = eig_sym(Q.T @ A @ Q, Q.T @ B @ Q, count=n)
-        assert np.allclose(w1, w2, rtol=1e-10, atol=1e-12)
-
-    def test_not_positive_definite(self):
-        with pytest.raises(FactorizationError):
-            eig_sym(np.eye(3), -np.eye(3))
-
-
 class TestIsPsd:
     def test_examples(self):
         assert is_psd(np.eye(3), 0.0)
@@ -183,4 +131,4 @@ class TestIsPsd:
         for _ in range(50):
             A = rng.standard_normal((6, 6))
             A = 0.5 * (A + A.T)
-            assert is_psd(A, 0.0) == (eig_sym(A)[0] >= 0.0)
+            assert is_psd(A, 0.0) == (np.linalg.eigvalsh(A)[0] >= 0.0)
