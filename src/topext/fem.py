@@ -14,6 +14,7 @@ number of negative eigenvalues of K - sigma M.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .numerics import DomainError, FactorizationError, SearchError
+from .numerics import DomainError, FactorizationError, SearchError, reject_nonfinite
 from .interval import BoundaryCondition
 
 
@@ -90,6 +91,7 @@ def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
         raise UnsupportedBCError(f"unknown boundary condition {bc.variant!r}")
     if complex(bc.c).imag != 0:
         raise UnsupportedBCError(f"complex coupling c = {bc.c!r} has no real symmetric form")
+    reject_nonfinite(b1=bc.b1)
     c = complex(bc.c).real
     h = 1.0 / n
     # element matrices [[1, -1], [-1, 1]] / h and [[2, 1], [1, 2]] h / 6
@@ -148,6 +150,9 @@ def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     sigma = -1.0
     while count_below(op, sigma) > 0:
         sigma *= 4.0
+        if not math.isfinite(sigma):
+            raise DomainError(f"n = {op.n}, bc = {op.bc}: the shift fell to {sigma} "
+                              "with eigenvalues still counted below it")
     v0 = np.random.default_rng(0).standard_normal(op.dim)
     w = np.sort(scipy.sparse.linalg.eigsh(op.stiffness, k, M=op.mass, sigma=sigma,
                                           v0=v0, return_eigenvectors=False))

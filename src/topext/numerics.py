@@ -12,7 +12,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 
 class DomainError(ValueError):
@@ -163,18 +162,24 @@ def _as_symmetric(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {A.shape}")
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(A).max())):
+    if not np.isfinite(A).all():
+        raise DomainError("matrix has a non-finite entry")
+    atol = 1e-12 * (1.0 + np.abs(A).max(initial=0.0))
+    if np.abs(A - A.T).max(initial=0.0) > atol:
         raise DomainError("matrix is not symmetric")
     return 0.5 * (A + A.T)
 
 
 def is_psd(A: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff the minimal eigenvalue of A is >= -tol * ||A||_2."""
+    """True iff the minimal eigenvalue of A is >= -tol * ||A||_2.
+
+    A must be finite and symmetric to within 1e-12 (1 + max |A_ij|)
+    entrywise; otherwise DomainError.  An empty matrix is PSD."""
     if tol < 0:
         raise DomainError("tol must be >= 0")
     A = _as_symmetric(A)
     if A.size == 0:
         return True
-    w = scipy.linalg.eigvalsh(A)
+    w = np.linalg.eigvalsh(A)
     norm = float(np.abs(w).max())
     return bool(w[0] >= -tol * norm)

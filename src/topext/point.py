@@ -41,12 +41,13 @@ def deficiency_model_point() -> DeficiencyModel:
     """Fourier-space model on the basis {G_1}: all entries are radial
     integrals of rational functions of r = |p|."""
     gram = radial_integral(lambda r: r * r / (1.0 + r * r) ** 2)
+    regularized = radial_integral(lambda r: 1.0 / (1.0 + r * r) ** 2)
 
     def weighted_gram(mu: float) -> np.ndarray:
         if mu > SHIFT + 1e-12:
             raise DomainError(f"weighted_gram needs mu <= m(S) = {SHIFT}")
         if abs(mu - SHIFT) <= 1e-12:
-            value = radial_integral(lambda r: 1.0 / (1.0 + r * r) ** 2)
+            value = regularized
         else:
             value = radial_integral(
                 lambda r: r * r / ((1.0 + r * r) ** 2 * (r * r + 1.0 - mu)))
@@ -73,7 +74,10 @@ class PointSpectrum:
 
 def alpha_to_t(alpha: float) -> float:
     reject_nonfinite(alpha=alpha)  # alpha = +inf is Friedrichs: no level t
-    return 8.0 * math.pi * alpha + 2.0
+    t = 8.0 * math.pi * alpha + 2.0
+    if not math.isfinite(t):
+        raise DomainError(f"alpha = {alpha!r}: t = 8 pi alpha + 2 overflows a float")
+    return t
 
 
 def extension_parameter(alpha: float) -> ExtensionParameter:

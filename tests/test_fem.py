@@ -49,6 +49,21 @@ class TestAssembly:
         with pytest.raises(UnsupportedBCError):
             fem.assemble(16, "periodic")
 
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_b1_is_a_domain_error(self, b):
+        with pytest.raises(DomainError, match=f"^b1 is {b}"):
+            fem.assemble(100, AntiPeriodicRobin(b))
+        with pytest.raises(DomainError, match=f"^b1 is {b}"):
+            fem.discrete_bottom(100, AntiPeriodicRobin(b))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_shift_overflow_is_a_domain_error(self):
+        # the shift is stepped down by factors of 4 until nothing is counted
+        # below it; at b1 = -1e300 that never happens at a finite shift
+        with pytest.raises(DomainError, match=r"^n = 100, bc = .*b1=-1e\+300.*"
+                           r"shift fell to -inf"):
+            fem.discrete_bottom(100, AntiPeriodicRobin(-1e300))
+
     def test_named_conditions_are_one_dim_a(self):
         assert Periodic() == BoundaryCondition.one_dim_a(0.0, 1.0)
         for b in (0.0, -4.0, 1.5):

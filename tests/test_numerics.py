@@ -132,3 +132,42 @@ class TestIsPsd:
             A = rng.standard_normal((6, 6))
             A = 0.5 * (A + A.T)
             assert is_psd(A, 0.0) == (np.linalg.eigvalsh(A)[0] >= 0.0)
+
+    def test_agrees_with_scipy_reference(self):
+        import scipy.linalg
+        rng = np.random.default_rng(8)
+        for n in range(1, 7):
+            for _ in range(40):
+                A = rng.standard_normal((n, n))
+                A = 0.5 * (A + A.T) + rng.uniform(-1.0, 3.0) * np.eye(n)
+                w = scipy.linalg.eigvalsh(A)
+                for tol in (0.0, 1e-10, 0.3):
+                    want = bool(w[0] >= -tol * float(np.abs(w).max()))
+                    assert is_psd(A, tol) == want, (n, tol, w)
+
+    def test_empty_matrix(self):
+        assert is_psd(np.zeros((0, 0)))
+        assert is_psd(np.zeros((0, 0)), 0.0)
+
+    def test_symmetry_rule(self):
+        # |A - A^T| <= 1e-12 (1 + max |A|) entrywise, as np.allclose(A, A.T,
+        # rtol=0, atol=...) had it
+        for scale in (1.0, 3.0, 1e6):
+            atol = 1e-12 * (1.0 + scale)
+            A = np.array([[scale, 0.0], [atol, scale]])
+            assert abs(A[1, 0] - A[0, 1]) == atol
+            assert is_psd(A)
+            A[1, 0] = np.nextafter(atol, 1.0)
+            with pytest.raises(DomainError, match="not symmetric"):
+                is_psd(A)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_entry_is_a_domain_error(self, bad):
+        for A in (np.array([[bad]]), np.array([[1.0, 0.0], [0.0, bad]]),
+                  np.array([[1.0, bad], [bad, 1.0]])):
+            with pytest.raises(DomainError, match="non-finite"):
+                is_psd(A)
+
+    def test_not_square(self):
+        with pytest.raises(DomainError, match="square"):
+            is_psd(np.zeros((2, 3)))

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from topext import kvb, point
+from topext import kvb, numerics, point
 from topext.numerics import DomainError, QuadratureRule
 
 PI2 = math.pi ** 2
@@ -34,6 +35,33 @@ class TestDeficiencyModel:
     def test_regularized_entry(self):
         model = point.deficiency_model_point()
         assert abs(float(model.weighted_gram(1.0)[0, 0]) - PI2) < 1e-10
+
+    def test_regularized_entry_is_the_radial_integral_bit_for_bit(self):
+        model = point.deficiency_model_point()
+        value = point.radial_integral(lambda r: 1.0 / (1.0 + r * r) ** 2)
+        assert model.weighted_gram(1.0)[0, 0] == value
+        assert model.weighted_gram(1.0 - 5e-13)[0, 0] == value
+
+    def test_regularized_entry_is_a_fresh_array(self):
+        model = point.deficiency_model_point()
+        first = model.weighted_gram(1.0)
+        first[0, 0] = -1.0
+        assert model.weighted_gram(1.0)[0, 0] > 0.0
+
+    def test_build_q_runs_no_quadrature_once_the_model_exists(self, monkeypatch):
+        model = point.deficiency_model_point()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return numerics.integrate(*args, **kwargs)
+
+        monkeypatch.setattr(point, "integrate", counting)
+        tq = kvb.build_q(point.deficiency_model_point())
+        assert calls == []
+        assert tq.t_q_scalar == kvb.build_q(model).t_q_scalar
+        model.weighted_gram(0.5)  # the counter sees the mu < m(S) branch
+        assert len(calls) == 1
 
     def test_weighted_at_zero(self):
         # 4 pi int r^2 / (1+r^2)^3 dr = pi^2 / 4
@@ -69,6 +97,13 @@ class TestAlphaDictionary:
     def test_minus_inf_is_rejected(self):
         with pytest.raises(DomainError, match="^alpha is -inf"):
             point.extension_parameter(-math.inf)
+
+    @pytest.mark.parametrize("alpha", [1e307, -1e307])
+    def test_overflowing_level_is_a_domain_error(self, alpha):
+        with pytest.raises(DomainError, match=re.escape(f"alpha = {alpha!r}: t = 8 pi alpha")):
+            point.extension_parameter(alpha)
+        # the largest alpha whose level is finite still maps
+        assert math.isfinite(point.alpha_to_t(math.copysign(7e306, alpha)))
 
 
 class TestSpectrum:
