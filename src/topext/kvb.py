@@ -18,7 +18,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import DomainError, FactorizationError, is_psd
+from .numerics import DomainError, FactorizationError, is_psd, reject_nonfinite
+
+TOL = 1e-10  # D(T) in V and T >= q hold to within TOL relative to their size
 
 
 class CriterionViolatedError(Exception):
@@ -27,11 +29,17 @@ class CriterionViolatedError(Exception):
 
 
 class ModelError(ValueError):
-    """Inconsistent dimensions between a parameter and a model."""
+    """Inconsistent dimensions or non-finite entries in a parameter or a model."""
 
 
 class HypothesisViolatedError(ValueError):
     """m(T) <= -m(S): the lower-bound formula does not apply."""
+
+
+def _reject_nonfinite(**arrays: np.ndarray) -> None:
+    for name, A in arrays.items():
+        if not np.isfinite(A).all():
+            raise ModelError(f"{name} has a non-finite entry")
 
 
 @dataclass(frozen=True)
@@ -55,13 +63,14 @@ class DeficiencyModel:
         if not self.m_S > 0:
             raise ModelError("construction requires m(S) > 0 (shift the operator first)")
         gram = np.asarray(self.gram, dtype=float)
+        Vb = np.atleast_2d(np.asarray(self.V_basis, dtype=float))
+        _reject_nonfinite(gram=gram, V_basis=Vb)
         if gram.shape != (self.dim, self.dim):
             raise ModelError(f"gram must be {self.dim}x{self.dim}")
         try:
             np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as exc:
             raise ModelError("gram matrix must be positive definite") from exc
-        Vb = np.atleast_2d(np.asarray(self.V_basis, dtype=float))
         if Vb.shape[0] != self.dim:
             raise ModelError("V_basis rows must match the ker S* dimension")
         object.__setattr__(self, "gram", gram)
@@ -92,6 +101,7 @@ class ExtensionParameter:
             return
         D = np.atleast_2d(np.asarray(self.domain_basis, dtype=float))
         T = np.atleast_2d(np.asarray(self.T_matrix, dtype=float))
+        _reject_nonfinite(domain_basis=D, T_matrix=T)
         k = D.shape[1]
         if np.linalg.matrix_rank(D) < k:
             raise ModelError("domain_basis columns must be linearly independent")
@@ -137,76 +147,66 @@ class Classification:
 
 @dataclass(frozen=True)
 class TqResult:
-    """The form q on its domain V, plus the scalar level when dim V = 1."""
+    """The form q_mu on its domain V, the scalar level when dim V = 1, and
+    mu when it lies below m(S) (None for T_q = q_{m(S)})."""
 
     domain_basis: np.ndarray
     q_matrix: np.ndarray
     t_q_scalar: Optional[float] = None
+    mu: Optional[float] = None
 
 
-def _express(target: np.ndarray, basis: np.ndarray, tol: float):
+def _express(target: np.ndarray, basis: np.ndarray):
     """Least-squares coefficients of target columns in the basis columns,
-    plus whether the span inclusion holds within tol."""
-    target = np.atleast_2d(np.asarray(target, dtype=float))
-    basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    if basis.shape[1] == 0:
-        return np.zeros((0, target.shape[1])), not np.any(np.abs(target) > tol)
+    plus whether the span inclusion holds within TOL."""
     C, *_ = np.linalg.lstsq(basis, target, rcond=None)
     residual = np.linalg.norm(basis @ C - target)
-    scale = max(1.0, np.linalg.norm(target))
-    return C, residual <= tol * scale
+    return C, residual <= TOL * max(1.0, np.linalg.norm(target))
 
 
-def build_q(model: DeficiencyModel) -> TqResult:
-    """Assemble the form q on the V basis; errors out when V is trivial."""
+def build_q(model: DeficiencyModel, mu: Optional[float] = None) -> TqResult:
+    """Assemble q_mu[v] = mu ||v||^2 + mu^2 <v, (S_F - mu)^{-1} v> on the V
+    basis.  mu defaults to m(S), where q_mu is T_q; errors out when V is
+    trivial or mu > m(S)."""
+    level = model.m_S if mu is None else mu
+    reject_nonfinite(mu=level)
+    if level > model.m_S:
+        raise DomainError(f"mu = {mu!r} exceeds m(S) = {model.m_S}")
     Vb = model.V_basis
-    if Vb.shape[1] == 0 or np.linalg.matrix_rank(Vb) == 0:
+    if Vb.shape[1] == 0 or not Vb.any():
         raise CriterionViolatedError(
             "V is trivial: the Friedrichs extension is the only top extension")
     gram_V = model.gram_V
-    W = np.atleast_2d(np.asarray(model.weighted_gram(model.m_S), dtype=float))
-    q = model.m_S * gram_V + model.m_S ** 2 * W
+    W = np.atleast_2d(np.asarray(model.weighted_gram(level), dtype=float))
+    q = level * gram_V + level ** 2 * W
     q = 0.5 * (q + q.T)
-    t_q = None
-    if Vb.shape[1] == 1:
-        t_q = float(q[0, 0] / gram_V[0, 0])
-    return TqResult(domain_basis=Vb, q_matrix=q, t_q_scalar=t_q)
+    t_q = float(q[0, 0] / gram_V[0, 0]) if Vb.shape[1] == 1 else None
+    return TqResult(Vb, q, t_q, None if level == model.m_S else level)
 
 
-def is_top_extension(T: ExtensionParameter, tq: TqResult, tol: float = 1e-10) -> bool:
-    """T labels a top extension iff T is Friedrichs, or D(T) lies inside
-    the q domain and T - q restricted to D(T) is PSD (boundary included)."""
+def is_top_extension(T: ExtensionParameter, tq: TqResult) -> bool:
+    """T >= q on D(T): T is Friedrichs, or D(T) lies in V and T - q is PSD
+    there (boundary included).  D(T) outside V gives False for T_q, and a
+    CriterionViolatedError for q_mu, mu < m(S), undefined off V."""
     if T.is_friedrichs:
         return True
     if T.domain_basis.shape[0] != tq.domain_basis.shape[0]:
         raise ModelError("parameter and q-form use different ambient bases")
-    C, included = _express(T.domain_basis, tq.domain_basis, tol)
+    C, included = _express(T.domain_basis, tq.domain_basis)
     if not included:
-        return False
-    M = T.T_matrix - C.T @ tq.q_matrix @ C
-    return is_psd(M, tol)
+        if tq.mu is None:
+            return False
+        raise CriterionViolatedError("D(T) is not in V; weighted_gram is undefined on it")
+    q_D = C.T @ tq.q_matrix @ C
+    scale = max(np.linalg.norm(T.T_matrix), np.linalg.norm(q_D))
+    return is_psd(T.T_matrix - q_D + TOL * scale * np.eye(len(q_D)), 0.0)
 
 
-def mu_criterion(T: ExtensionParameter, model: DeficiencyModel, mu: float,
-                 tol: float = 1e-10) -> bool:
-    """True iff m(S_T) >= mu, tested through the parameter-side inequality
-
-        <v, T v> >= mu ||v||^2 + mu^2 <v, (S_F - mu)^{-1} v>.
-    """
+def mu_criterion(T: ExtensionParameter, model: DeficiencyModel, mu: float) -> bool:
+    """True iff m(S_T) >= mu < m(S), read off the parameter as T >= q_mu."""
     if mu >= model.m_S:
         raise DomainError(f"mu must be below m(S) = {model.m_S}")
-    if T.is_friedrichs:
-        return True
-    if T.domain_basis.shape[0] != model.dim:
-        raise ModelError("parameter and model use different ambient bases")
-    C, included = _express(T.domain_basis, model.V_basis, tol)
-    if not included:
-        raise CriterionViolatedError("D(T) is not contained in V; "
-                                     "weighted_gram is undefined on it")
-    D = T.domain_basis
-    gram_D = D.T @ model.gram @ D
-    W = C.T @ np.atleast_2d(np.asarray(model.weighted_gram(mu), dtype=float)) @ C
-    return is_psd(T.T_matrix - mu * gram_D - mu ** 2 * W, tol)
+    return is_top_extension(T, build_q(model, mu))
 
 
 def krein_bound(m_S: float, m_T: float) -> float:

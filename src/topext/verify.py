@@ -217,14 +217,15 @@ def case_krein() -> Report:
     ts, bottoms = interval_t_grid_bottoms()
     model = interval.deficiency_model()
     mus = np.linspace(-150.0, PI2, 41)[:-1].tolist()
+    q_mus = [kvb.build_q(model, mu) for mu in mus]
     ok = True
     agree = 0
     for t, bottom in zip(ts, bottoms):
         if t > 0 and not (kvb.krein_bound(PI2, float(t)) - 1e-9 <= bottom <= t + 1e-9):
             ok = False
-        # mu-criterion: m(S_T) >= mu read off the parameter T alone
+        # mu-criterion: m(S_T) >= mu iff T >= q_mu, read off the parameter T alone
         T = kvb.ExtensionParameter.scalar(float(t), model.V_basis, model.gram)
-        agree += sum(kvb.mu_criterion(T, model, mu) == (bottom >= mu) for mu in mus)
+        agree += sum(kvb.is_top_extension(T, q) == (bottom >= mu) for mu, q in zip(mus, q_mus))
     pairs = len(ts) * len(mus)
     return Report(
         case="krein-bound", example="interval", m_S=PI2, passed=ok and agree == pairs,

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from topext import interval, point, verify
 from topext.kvb import (
     CriterionViolatedError,
     DeficiencyModel,
@@ -65,6 +68,25 @@ class TestExtensionParameter:
     def test_rank_deficient_domain(self):
         with pytest.raises(ModelError):
             ExtensionParameter(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name, make", [
+    ("gram", lambda: DeficiencyModel(m_S=1.0, dim=1, gram=[[NAN]], V_basis=np.eye(1),
+                                     weighted_gram=lambda mu: np.eye(1))),
+    ("V_basis", lambda: DeficiencyModel(m_S=1.0, dim=1, gram=np.eye(1), V_basis=[[INF]],
+                                        weighted_gram=lambda mu: np.eye(1))),
+    ("V_basis", lambda: DeficiencyModel(m_S=1.0, dim=1, gram=np.eye(1), V_basis=[[NAN]],
+                                        weighted_gram=lambda mu: np.eye(1))),
+    ("domain_basis", lambda: ExtensionParameter([[NAN]], np.eye(1))),
+    ("T_matrix", lambda: ExtensionParameter(np.eye(1), [[INF]])),
+    ("T_matrix", lambda: ExtensionParameter.scalar(NAN, np.eye(1), np.eye(1))),
+])
+def test_nonfinite_entries_name_the_field(name, make):
+    with pytest.raises(ModelError, match=f"^{name} has a non-finite entry"):
+        make()
 
 
 class TestBuildQ:
@@ -152,6 +174,69 @@ class TestMuCriterion:
         T2 = ExtensionParameter.scalar(1.0, np.array([[0.0], [1.0]]), g)
         with pytest.raises(CriterionViolatedError):
             mu_criterion(T2, model2, 0.5)
+
+
+MODELS = [interval.deficiency_model, point.deficiency_model_point]
+
+
+class TestOneForm:
+    """build_q(model, mu) builds every q_mu; is_top_extension tests T >= q_mu."""
+
+    @pytest.mark.parametrize("make, q, t_q", [
+        (interval.deficiency_model, 3.9999999999998304, 11.9999999999995),
+        (point.deficiency_model_point, 19.739208802178705, 2.0),
+    ])
+    def test_default_mu_is_t_q_bit_for_bit(self, make, q, t_q):
+        tq = build_q(make())
+        assert tq.q_matrix.tolist() == [[q]]
+        assert tq.t_q_scalar == t_q
+        assert tq.mu is None
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_t_q_itself_is_top(self, make):
+        model = make()
+        tq = build_q(model)
+        at = ExtensionParameter.scalar(tq.t_q_scalar, model.V_basis, model.gram)
+        below = ExtensionParameter.scalar(tq.t_q_scalar * (1.0 - 1e-6), model.V_basis, model.gram)
+        assert is_top_extension(at, tq)
+        assert not is_top_extension(below, tq)
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_q_mu_matrix(self, make):
+        model = make()
+        for mu in (-3.0, 0.0, 0.5):
+            q = build_q(model, mu)
+            expected = mu * model.gram_V + mu ** 2 * model.weighted_gram(mu)
+            assert q.q_matrix.tolist() == expected.tolist()
+            assert q.mu == mu
+
+    def test_mu_above_m_S_or_nonfinite(self):
+        model = toy_model(m_S=1.0)
+        for mu in (1.0 + 1e-9, NAN, -INF):
+            with pytest.raises(DomainError, match="mu"):
+                build_q(model, mu)
+
+    def test_domain_outside_V(self):
+        g = np.eye(2)
+        model = DeficiencyModel(m_S=1.0, dim=2, gram=g, V_basis=np.array([[1.0], [0.0]]),
+                                weighted_gram=lambda mu: np.eye(1))
+        T = ExtensionParameter.scalar(100.0, np.array([[0.0], [1.0]]), g)
+        assert not is_top_extension(T, build_q(model))
+        with pytest.raises(CriterionViolatedError):
+            is_top_extension(T, build_q(model, 0.5))
+
+    def test_krein_case_builds_each_q_mu_once(self, monkeypatch):
+        model = interval.deficiency_model()
+        mus = []
+
+        def counted(mu):
+            mus.append(mu)
+            return model.weighted_gram(mu)
+
+        wrapped = dataclasses.replace(model, weighted_gram=counted)
+        monkeypatch.setattr(interval, "deficiency_model", lambda terms=10_000: wrapped)
+        assert verify.case_krein().passed
+        assert len(mus) == len(set(mus)) == 40
 
 
 class TestKreinBound:

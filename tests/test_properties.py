@@ -122,7 +122,8 @@ def test_mu_criterion_matches_bottom(t, mu):
     model = interval.deficiency_model()
     T = kvb.ExtensionParameter.scalar(t, model.V_basis, model.gram)
     bottom = interval.spectrum(t, 50.0).bottom
-    # the criterion counts T - q_mu >= -1e-10 as PSD, so it may call a bottom
-    # just below mu "at least mu"; the band left out is wider than that
+    # the criterion counts T - q_mu as PSD to within 1e-10 relative to the
+    # forms' size, so it may call a bottom just below mu "at least mu"; the
+    # band left out is wider than that
     assume(abs(bottom - mu) > 1e-8 * max(1.0, abs(mu)))
     assert kvb.mu_criterion(T, model, mu) == (bottom >= mu)
