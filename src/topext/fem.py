@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dgtsv
 
 from .numerics import DomainError, FactorizationError, SearchError, reject_nonfinite
 from .interval import BoundaryCondition
@@ -41,22 +42,48 @@ def AntiPeriodicRobin(b: float = 0.0) -> BoundaryCondition:
     return BoundaryCondition.one_dim_a(b, -1.0)
 
 
+class Bands(NamedTuple):
+    """A symmetric matrix of order diag.size: diagonal `diag`, first
+    off-diagonal `off`, and the fold's entry `corner` at (0, dim-1) and
+    (dim-1, 0); `corner` is None where no fold couples the ends (Dirichlet)."""
+
+    diag: np.ndarray
+    off: np.ndarray
+    corner: Optional[float]
+
+    def csc(self) -> scipy.sparse.csc_matrix:
+        d, e = self.diag, self.off
+        i = np.arange(d.size)
+        rows, cols, data = [i, i[:-1], i[1:]], [i, i[1:], i[:-1]], [d, e, e]
+        if self.corner is not None:
+            rows.append([0, d.size - 1])
+            cols.append([d.size - 1, 0])
+            data.append([self.corner, self.corner])
+        return scipy.sparse.csc_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(d.size, d.size))
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Stiffness and mass as scipy.sparse CSC matrices of order dim."""
+    """Stiffness K and mass M of order dim: as bands, which the inertia
+    counts read, and as the same scipy.sparse CSC matrices, which the
+    Lanczos solve reads."""
 
     n: int
     bc: BoundaryCondition
+    K: Bands
+    M: Bands
     stiffness: scipy.sparse.csc_matrix
     mass: scipy.sparse.csc_matrix
 
     @property
     def dim(self) -> int:
-        return self.stiffness.shape[0]
+        return self.K.diag.size
 
 
 def _constrained(n: int, bc: BoundaryCondition, c: float, diag: float, off: float,
-                 b1: float) -> scipy.sparse.csc_matrix:
+                 b1: float) -> Bands:
     """The matrix whose element matrices are [[diag, off], [off, diag]], on
     the nodes the constraint keeps: 1..n-1 for Dirichlet, 0..n-1 after the
     fold u_n = c u_0, which is P^T A P for P = [I; c e_0^T] and so changes
@@ -65,20 +92,11 @@ def _constrained(n: int, bc: BoundaryCondition, c: float, diag: float, off: floa
     d[0] = d[-1] = diag  # the end nodes belong to one element
     e = np.full(n, off)
     if bc.variant == "dirichlet":
-        d, e = d[1:-1], e[1:-1]
-    else:
-        d, e = d[:-1], e[:-1]
-        d[0] += c * (c * diag)
-        d[0] += b1
-    i = np.arange(d.size)
-    rows, cols, data = [i, i[:-1], i[1:]], [i, i[1:], i[:-1]], [d, e, e]
-    if bc.variant != "dirichlet":
-        rows.append([0, d.size - 1])
-        cols.append([d.size - 1, 0])
-        data.append([c * off, c * off])
-    return scipy.sparse.csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(d.size, d.size))
+        return Bands(d[1:-1], e[1:-1], None)
+    d, e = d[:-1], e[:-1]
+    d[0] += c * (c * diag)
+    d[0] += b1
+    return Bands(d, e, c * off)
 
 
 def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
@@ -97,7 +115,7 @@ def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
     # element matrices [[1, -1], [-1, 1]] / h and [[2, 1], [1, 2]] h / 6
     K = _constrained(n, bc, c, 1.0 / h, -1.0 / h, bc.b1)
     M = _constrained(n, bc, c, 2.0 * h / 6.0, h / 6.0, 0.0)
-    return DiscreteOperator(n=n, bc=bc, stiffness=K, mass=M)
+    return DiscreteOperator(n=n, bc=bc, K=K, M=M, stiffness=K.csc(), mass=M.csc())
 
 
 def _sturm_count(d: np.ndarray, e: np.ndarray) -> int:
@@ -121,20 +139,29 @@ def _sturm_count(d: np.ndarray, e: np.ndarray) -> int:
 def count_below(op: DiscreteOperator, sigma: float) -> int:
     """Number of eigenvalues of (stiffness, mass) below sigma.
 
-    That is the negative inertia of A = K - sigma M.  Node 0 is split off:
-    the rest T of A is tridiagonal, so In(A) = In(T) + In(a - r^T T^-1 r)
-    (Haynsworth), with the Sturm count for In(T) and a pivoted banded solve
-    for T^-1 r; row 0 = [a, r^T] carries the fold's corner entry."""
-    A = op.stiffness - sigma * op.mass
-    d, e = A.diagonal(), A.diagonal(1)
-    r = A[:, 0].toarray().ravel()[1:]
-    T = np.zeros((3, op.dim - 1))
-    T[0, 1:], T[1], T[2, :-1] = e[1:], d[1:], e[1:]
-    try:
-        y = scipy.linalg.solve_banded((1, 1), T, r, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"n = {op.n}, sigma = {sigma!r}: {exc}") from exc
-    return _sturm_count(d[1:], e[1:]) + int(d[0] - r @ y < 0.0)
+    That is the negative inertia of A = K - sigma M, formed band by band.
+    Node 0 is split off: the rest T of A is tridiagonal, so In(A) = In(T) +
+    In(a - r^T T^-1 r) (Haynsworth), with the Sturm count for In(T) and
+    LAPACK's partially pivoted tridiagonal solve (gtsv) for T^-1 r; row 0 =
+    [a, r^T] carries the fold's corner entry."""
+    K, M = op.K, op.M
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = K.diag - sigma * M.diag
+        e = K.off - sigma * M.off
+        finite = np.isfinite(d).all() and np.isfinite(e * e).all()
+    corner = None if K.corner is None else K.corner - sigma * M.corner
+    if not (finite and (corner is None or math.isfinite(corner))):
+        raise DomainError(f"n = {op.n}, bc = {op.bc}, sigma = {sigma!r}: K - sigma M has "
+                          "an entry or a squared off-diagonal entry that is not finite")
+    r = np.zeros(op.dim - 1)
+    r[0] = e[0]
+    if corner is not None:
+        r[-1] = corner
+    T_off = e[1:]
+    y, info = dgtsv(T_off, d[1:], T_off, r)[3:]
+    if info > 0:
+        raise FactorizationError(f"n = {op.n}, sigma = {sigma!r}: singular matrix")
+    return _sturm_count(d[1:], T_off) + int(d[0] - r @ y < 0.0)
 
 
 def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
@@ -148,11 +175,10 @@ def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     if not 1 <= k < op.dim:
         raise DomainError(f"k = {k}: need 1 <= k < dim = {op.dim}")
     sigma = -1.0
+    # ends at a finite shift: the square of sigma M's off-diagonal leaves the
+    # float range long before sigma does, and count_below raises there
     while count_below(op, sigma) > 0:
         sigma *= 4.0
-        if not math.isfinite(sigma):
-            raise DomainError(f"n = {op.n}, bc = {op.bc}: the shift fell to {sigma} "
-                              "with eigenvalues still counted below it")
     v0 = np.random.default_rng(0).standard_normal(op.dim)
     w = np.sort(scipy.sparse.linalg.eigsh(op.stiffness, k, M=op.mass, sigma=sigma,
                                           v0=v0, return_eigenvectors=False))

@@ -127,9 +127,12 @@ def secular_F(lam: float) -> float:
 
     Genuine singularities sit at 4 n^2 pi^2, n >= 1; the removable ones of
     the (1 + cos)/sin form are absent.  Hyperbolic branch for lambda < 0,
-    continuous limit F(0) = 0.
+    continuous limit F(0) = 0.  For |lambda| < 1e-2 both forms cancel
+    12 - 12 (1 + O(lambda)), and F is its Taylor series instead.
     """
     if lam > 0.0:
+        if lam < _SERIES_BELOW:
+            return _secular_series(lam)
         s = math.sqrt(lam)
         k = round(s / (2.0 * math.pi))
         if k >= 1 and abs(lam - _singularity(k)) <= 1e-13 * _singularity(k):
@@ -142,8 +145,22 @@ def secular_F(lam: float) -> float:
         return 12.0 - 6.0 * s * cot
     if lam == 0.0:
         return 0.0
+    if lam > -_SERIES_BELOW:
+        return _secular_series(lam)
     kappa = math.sqrt(-lam)
     return 12.0 - 6.0 * kappa / math.tanh(0.5 * kappa)
+
+
+# below this |lambda| the series is used: its first omitted term is 6.3e-9
+# lambda^6, under 1e-18 relative, while the closed forms lose 2.7e-13
+_SERIES_BELOW = 1e-2
+
+
+def _secular_series(lam: float) -> float:
+    """F(lambda) = lambda (1 + lambda/60 + lambda^2/2520 + lambda^3/100800 +
+    lambda^4/3991680 + O(lambda^5)), from x cot x = 1 - x^2/3 - x^4/45 - ..."""
+    return lam * (1.0 + lam * (1.0 / 60.0 + lam * (1.0 / 2520.0 + lam * (
+        1.0 / 100800.0 + lam / 3991680.0))))
 
 
 def _singularity(k: int) -> float:
@@ -169,7 +186,9 @@ def _secular_root(k: int, t: float) -> float:
         if lo == -math.inf:
             raise DomainError(f"t = {t!r}: the bottom -(t/6 - 2)^2 overflows a float")
         f = lambda lam: secular_F(lam) - t
-        return bisect(f, Bracket(lo, 0.0, f(lo), -t))
+        # the root is about t for small |t|: stop relative to it there
+        tol = max(1e-12 * min(1.0, -t), math.ulp(0.0))
+        return bisect(f, Bracket(lo, 0.0, f(lo), -t), tol=tol)
     g = lambda s: (12.0 - t) * math.sin(0.5 * s) / s - 6.0 * math.cos(0.5 * s)
     cos_k_pi = 1.0 if k % 2 == 0 else -1.0
     s_hi = 2.0 * (k + 1) * math.pi

@@ -55,7 +55,8 @@ class Bracket:
             raise BracketError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if not (math.isfinite(self.f_lo) and math.isfinite(self.f_hi)):
             raise EvaluationError("non-finite function value at bracket endpoint")
-        if self.f_lo * self.f_hi >= 0.0:
+        # signs, not the product, which underflows to 0 for tiny values
+        if not (self.f_lo < 0.0 < self.f_hi or self.f_hi < 0.0 < self.f_lo):
             raise BracketError(
                 f"no sign change: f({self.lo})={self.f_lo}, f({self.hi})={self.f_hi}"
             )
@@ -65,7 +66,10 @@ def bisect(f: Callable[[float], float], b: Bracket, tol: float = 1e-12) -> float
     """Root of f inside the bracket, located to an interval of width <= tol."""
     if tol <= 0:
         raise DomainError("tol must be positive")
-    lo, hi, f_lo = b.lo, b.hi, b.f_lo
+    lo, hi = b.lo, b.hi
+    # f keeps the sign of f(lo) at every lo; a sign test, not f_lo * f_mid,
+    # which underflows to 0 once both values are below about 1e-154
+    lo_negative = b.f_lo < 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval no longer resolvable in floats
@@ -75,10 +79,10 @@ def bisect(f: Callable[[float], float], b: Bracket, tol: float = 1e-12) -> float
             raise EvaluationError(f"f({mid}) is not finite")
         if f_mid == 0.0:
             return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
+        if (f_mid < 0.0) == lo_negative:
+            lo = mid
         else:
-            lo, f_lo = mid, f_mid
+            hi = mid
     return 0.5 * (lo + hi)
 
 

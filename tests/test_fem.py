@@ -1,13 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from topext import fem, interval
 from topext.fem import AntiPeriodicRobin, Periodic, UnsupportedBCError
 from topext.interval import BoundaryCondition
-from topext.numerics import DomainError, QuadratureRule, SearchError, integrate
+from topext.numerics import (DomainError, FactorizationError, QuadratureRule, SearchError,
+                             integrate)
 
 PI2 = math.pi ** 2
 
@@ -29,6 +32,24 @@ def free_matrices(n):
 
 def dense(op):
     return op.stiffness.toarray(), op.mass.toarray()
+
+
+def sparse_count_below(op, sigma):
+    """Reference count on the CSC matrices: A = K - sigma M as a sparse
+    matrix, node 0 split off, T^-1 r from a pivoted banded solve."""
+    A = op.stiffness - sigma * op.mass
+    d, e = A.diagonal(), A.diagonal(1)
+    r = A[:, 0].toarray().ravel()[1:]
+    T = np.zeros((3, op.dim - 1))
+    T[0, 1:], T[1], T[2, :-1] = e[1:], d[1:], e[1:]
+    y = scipy.linalg.solve_banded((1, 1), T, r, check_finite=False)
+    return fem._sturm_count(d[1:], e[1:]) + int(d[0] - r @ y < 0.0)
+
+
+CONDITIONS = st.one_of(
+    st.just(BoundaryCondition.dirichlet()), st.just(Periodic()),
+    st.builds(AntiPeriodicRobin, st.floats(-100.0, 100.0)),
+    st.builds(BoundaryCondition.one_dim_a, st.floats(-100.0, 100.0), st.floats(-2.0, 2.0)))
 
 
 class TestAssembly:
@@ -56,13 +77,20 @@ class TestAssembly:
         with pytest.raises(DomainError, match=f"^b1 is {b}"):
             fem.discrete_bottom(100, AntiPeriodicRobin(b))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_shift_overflow_is_a_domain_error(self):
         # the shift is stepped down by factors of 4 until nothing is counted
-        # below it; at b1 = -1e300 that never happens at a finite shift
-        with pytest.raises(DomainError, match=r"^n = 100, bc = .*b1=-1e\+300.*"
-                           r"shift fell to -inf"):
-            fem.discrete_bottom(100, AntiPeriodicRobin(-1e300))
+        # below it; at these b1 the square of K - sigma M's off-diagonal
+        # overflows first, which the count names without a warning
+        for b1 in (-2.1e154, -1e300):
+            message = rf"^n = 100, bc = .*{re.escape(repr(b1))}.*sigma = -.*is not finite"
+            with pytest.raises(DomainError, match=message):
+                fem.discrete_bottom(100, AntiPeriodicRobin(b1))
+
+    def test_large_negative_robin_parameter_is_solved(self):
+        # short of that overflow the counts hold and the bottom is finite;
+        # its eigenvector sits on node 0, where b1 enters the stiffness
+        assert fem.discrete_bottom(100, AntiPeriodicRobin(-1e150)) == pytest.approx(
+            -1.732050807568877e152, rel=1e-12)
 
     def test_named_conditions_are_one_dim_a(self):
         assert Periodic() == BoundaryCondition.one_dim_a(0.0, 1.0)
@@ -204,6 +232,21 @@ class TestSparseSolver:
         for sigma in np.linspace(ref[0] - 10.0, ref[8] + 10.0, 101):
             assert fem.count_below(op, sigma) == np.sum(ref < sigma), sigma
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(bc=CONDITIONS, n=st.integers(8, 300), data=st.data())
+    def test_count_equals_sparse_and_dense_counts(self, bc, n, data):
+        # sigma lies between eigenvalues j - 1 and j (or outside the spectrum)
+        op = fem.assemble(n, bc)
+        ref = scipy.linalg.eigh(*dense(op), eigvals_only=True)
+        j = data.draw(st.integers(0, op.dim), label="j")
+        lo = ref[j - 1] if j > 0 else ref[0] - 10.0 - abs(ref[0])
+        hi = ref[j] if j < op.dim else 1.5 * ref[-1] + 10.0
+        u = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), label="u")
+        sigma = lo + u * (hi - lo)
+        assume(np.min(np.abs(ref - sigma)) > 1e-9 * max(1.0, abs(sigma)))
+        count = fem.count_below(op, sigma)
+        assert count == sparse_count_below(op, sigma) == np.sum(ref < sigma)
+
     @pytest.mark.parametrize("n", [64, 504])
     def test_count_around_double_periodic_eigenvalues(self, n):
         # the discrete periodic operator is circulant: its eigenvalues
@@ -241,6 +284,13 @@ class TestSparseSolver:
         fem.discrete_bottom(700, BoundaryCondition.dirichlet())
         assert fem.discrete_bottom(2000, bc) == first
         assert fem.discrete_bottom(2000, bc) == first
+
+    def test_singular_block_is_a_factorization_error(self):
+        # K = M = 0: the block T on nodes 1..dim-1 has no pivot at all
+        zero = fem.Bands(np.zeros(7), np.zeros(6), None)
+        op = fem.DiscreteOperator(8, BoundaryCondition.dirichlet(), zero, zero, None, None)
+        with pytest.raises(FactorizationError, match=r"^n = 8, sigma = 0\.5: singular matrix"):
+            fem.count_below(op, 0.5)
 
     def test_certificate_failure_names_the_solve(self, monkeypatch):
         op = fem.assemble(100, AntiPeriodicRobin(0.5))

@@ -85,6 +85,13 @@ class TestSecularFunction:
         for lam in (1e-10, 1e-8, 1e-6, 1e-4):
             assert abs(interval.secular_F(lam) - (lam + lam * lam / 60.0)) <= 1e-14
 
+    def test_relative_accuracy_near_zero(self):
+        # the cot and coth forms cancel 12 - 12(1 + O(lambda)) here: they gave
+        # F(1e-16) = -1.78e-15 and F(-1e-12) 8.9e-5 off
+        for lam in (1e-16, -1e-12, -5.78e-167):
+            series = lam * (1.0 + lam / 60.0 + lam * lam / 2520.0)
+            assert abs(interval.secular_F(lam) - series) <= 1e-12 * abs(series), lam
+
     def test_continuity_at_zero(self):
         assert abs(interval.secular_F(1e-8) - interval.secular_F(-1e-8)) < 1e-6
 
@@ -115,6 +122,13 @@ class TestSpectrum:
             spec = interval.spectrum(t, cutoff=400.0)
             for root in spec.secular_roots:
                 assert abs(interval.secular_F(root) - t) < 1e-7 * max(1.0, abs(t))
+
+    def test_bottom_relative_accuracy_near_zero(self):
+        # F(lambda) = t inverts to lambda = t - t^2/60 + O(t^3); the
+        # bisection stops at 1e-12 |t| below |t| = 1 (it was 1e-12 absolute)
+        for t in (-1e-12, -5.78e-167):
+            expected = t - t * t / 60.0
+            assert abs(interval.spectrum(t).bottom - expected) <= 1e-12 * abs(expected), t
 
     def test_negative_bottom_for_large_negative_t(self):
         spec = interval.spectrum(-50.0, cutoff=50.0)

@@ -43,6 +43,13 @@ class TestBisect:
         with pytest.raises(EvaluationError):
             bisect(f, Bracket(0.0, 1.0, -0.5, 0.5), tol=1e-12)
 
+    def test_tiny_function_values(self):
+        # f_lo * f_mid underflows to 0 at |f| ~ 1e-200: the side is decided by
+        # signs, for the bracket and for each step
+        f = lambda x: 1e-200 * (x - 0.3)
+        root = bisect(f, Bracket(0.0, 1.0, f(0.0), f(1.0)), tol=1e-12)
+        assert abs(root - 0.3) < 1e-12
+
     def test_sign_change_property(self):
         # endpoints of the final interval around the root have opposite signs
         f = lambda x: math.cos(x)
