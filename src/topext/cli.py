@@ -2,8 +2,8 @@
 
 Subcommands `interval`, `point`, `coulomb` expose classification tables,
 spectra, and form-level computations; `verify` runs the full verification
-matrix against the finite-element oracle.  Exit codes: 0 pass, 1 numeric
-or verification failure, 2 usage error.
+matrix against the finite-element oracle.  Exit codes: 0 pass, 1 numeric,
+I/O or verification failure, 2 usage error.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import re
 import sys
 from typing import List, Optional
 
-from . import coulomb, interval, kvb, point, verify as verify_mod
+from . import coulomb, interval, kvb, point
 from .numerics import DomainError, reject_nonfinite
 
 
@@ -127,7 +127,8 @@ def _coulomb_classify(a):
 
 
 def _verify(a) -> int:
-    reports = verify_mod.run(grid=a.grid, only=a.only)
+    from . import verify  # loads scipy, which no other command needs
+    reports = verify.run(grid=a.grid, only=a.only)
     if not reports:
         print(f"verify: --only {a.only!r} matches no example or case", file=sys.stderr)
         return 2
@@ -206,7 +207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.handler(args)
-    except (ArithmeticError, ValueError, RuntimeError) as exc:
+    except (ArithmeticError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if isinstance(result, int):

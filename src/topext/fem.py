@@ -7,22 +7,23 @@ integration by parts.  Discrete bottoms over-estimate the analytic ones
 (variational one-sided error), which makes the comparison honest.
 
 The pencil (K, M) is symmetric tridiagonal plus, after the fold
-u_n = c u_0, the corner pair (0, dim-1).  Its lowest eigenvalues come from
-one sparse shift-invert Lanczos solve, and each is certified by inertia
-counts: by Sylvester's law the number of eigenvalues below sigma is the
-number of negative eigenvalues of K - sigma M.
+u_n = c u_0, the corner pair (0, dim-1); it is held once, as bands.  Its
+lowest eigenvalues come from one sparse shift-invert Lanczos solve on CSC
+copies built for that call, and each is certified by inertia counts on the
+bands: by Sylvester's law the number of eigenvalues below sigma is the
+number of negative eigenvalues of K - sigma M, which LAPACK's Sturm count
+(dstebz) and one pivoted tridiagonal solve (gtsv) give.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .numerics import DomainError, FactorizationError, SearchError, reject_nonfinite
 from .interval import BoundaryCondition
@@ -66,16 +67,12 @@ class Bands(NamedTuple):
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Stiffness K and mass M of order dim: as bands, which the inertia
-    counts read, and as the same scipy.sparse CSC matrices, which the
-    Lanczos solve reads."""
+    """Stiffness K and mass M of order dim, as bands."""
 
     n: int
     bc: BoundaryCondition
     K: Bands
     M: Bands
-    stiffness: scipy.sparse.csc_matrix
-    mass: scipy.sparse.csc_matrix
 
     @property
     def dim(self) -> int:
@@ -102,7 +99,7 @@ def _constrained(n: int, bc: BoundaryCondition, c: float, diag: float, off: floa
 def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
     """Stiffness/mass pair with the boundary constraint folded in."""
     if n < 8:
-        raise DomainError("grid too coarse: need n >= 8")
+        raise DomainError(f"n = {n}: grid too coarse, need n >= 8")
     if not isinstance(bc, BoundaryCondition):
         raise UnsupportedBCError(f"unsupported constraint {bc!r}")
     if bc.variant not in ("dirichlet", "one-dim-a"):
@@ -115,34 +112,17 @@ def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
     # element matrices [[1, -1], [-1, 1]] / h and [[2, 1], [1, 2]] h / 6
     K = _constrained(n, bc, c, 1.0 / h, -1.0 / h, bc.b1)
     M = _constrained(n, bc, c, 2.0 * h / 6.0, h / 6.0, 0.0)
-    return DiscreteOperator(n=n, bc=bc, K=K, M=M, stiffness=K.csc(), mass=M.csc())
-
-
-def _sturm_count(d: np.ndarray, e: np.ndarray) -> int:
-    """Negative eigenvalues of the symmetric tridiagonal matrix with
-    diagonal d and off-diagonal e: the negative pivots of its LDL^T.  A
-    pivot in [0, pivmin) is replaced by -pivmin, LAPACK's guard (dlaneg)
-    against division by zero."""
-    e2 = (e * e).tolist()
-    pivmin = sys.float_info.min * max(1.0, max(e2, default=0.0))
-    count, q = 0, 1.0
-    for di, e2i in zip(d.tolist(), [0.0] + e2):
-        q = di - e2i / q
-        if q < 0.0:
-            count += 1
-        elif q < pivmin:
-            q = -pivmin
-            count += 1
-    return count
+    return DiscreteOperator(n=n, bc=bc, K=K, M=M)
 
 
 def count_below(op: DiscreteOperator, sigma: float) -> int:
-    """Number of eigenvalues of (stiffness, mass) below sigma.
+    """Number of eigenvalues of (K, M) below sigma.
 
     That is the negative inertia of A = K - sigma M, formed band by band.
     Node 0 is split off: the rest T of A is tridiagonal, so In(A) = In(T) +
-    In(a - r^T T^-1 r) (Haynsworth), with the Sturm count for In(T) and
-    LAPACK's partially pivoted tridiagonal solve (gtsv) for T^-1 r; row 0 =
+    In(a - r^T T^-1 r) (Haynsworth), with LAPACK's Sturm count (dstebz: the
+    eigenvalues of T in (-inf, 0], its pivots guarded by pivmin) for In(T)
+    and its partially pivoted tridiagonal solve (gtsv) for T^-1 r; row 0 =
     [a, r^T] carries the fold's corner entry."""
     K, M = op.K, op.M
     with np.errstate(over="ignore", invalid="ignore"):
@@ -161,11 +141,14 @@ def count_below(op: DiscreteOperator, sigma: float) -> int:
     y, info = dgtsv(T_off, d[1:], T_off, r)[3:]
     if info > 0:
         raise FactorizationError(f"n = {op.n}, sigma = {sigma!r}: singular matrix")
-    return _sturm_count(d[1:], T_off) + int(d[0] - r @ y < 0.0)
+    m, _, _, _, info = dstebz(d[1:], T_off, 1, -math.inf, 0.0, 0, 0, 1e300, "B")
+    if info != 0:
+        raise FactorizationError(f"n = {op.n}, sigma = {sigma!r}: dstebz info = {info}")
+    return m + int(d[0] - r @ y < 0.0)
 
 
 def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
-    """k smallest generalized eigenvalues of (stiffness, mass), ascending.
+    """k smallest generalized eigenvalues of (K, M), ascending.
 
     One shift-invert Lanczos solve below the spectrum, from a fixed start
     vector so that equal calls give equal results; the shift is stepped
@@ -180,7 +163,7 @@ def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     while count_below(op, sigma) > 0:
         sigma *= 4.0
     v0 = np.random.default_rng(0).standard_normal(op.dim)
-    w = np.sort(scipy.sparse.linalg.eigsh(op.stiffness, k, M=op.mass, sigma=sigma,
+    w = np.sort(scipy.sparse.linalg.eigsh(op.K.csc(), k, M=op.M.csc(), sigma=sigma,
                                           v0=v0, return_eigenvectors=False))
     for j, lam in enumerate(w.tolist(), start=1):
         delta = 1e-9 * max(1.0, abs(lam))

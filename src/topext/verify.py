@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import coulomb, fem, interval, kvb, point
-from .numerics import QuadratureRule, digamma, integrate
+from .numerics import DomainError, QuadratureRule, digamma, integrate
 
 PI2 = math.pi ** 2
 
@@ -317,6 +317,9 @@ CASES = (
 def run(grid: int = 2000, only: Optional[str] = None) -> List[Report]:
     """Run the verification matrix, optionally filtered to one example or
     to the cases whose name starts with `only`."""
+    if grid < 16:
+        raise DomainError(f"grid = {grid}: need grid >= 16 (the Richardson checks "
+                          "solve at grid // 2, which must be at least 8)")
     reports: List[Report] = []
     for example, prefix, cases in CASES:
         if only in (None, example) or prefix.startswith(only) or only.startswith(prefix):

@@ -1,10 +1,14 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from topext import cli, coulomb, fem, interval
-from topext.verify import Report
+from topext.numerics import DomainError
+from topext.verify import Report, run
 
 PI2 = math.pi ** 2
 
@@ -90,6 +94,14 @@ class TestIntervalCommands:
         code, _, err = run_cli(capsys, "interval", "secular", "--min", "10",
                                "--max", "5")
         assert code == 2
+
+    def test_secular_unwritable_out_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "interval", "secular", "--min", "0",
+                                 "--max", "1", "--samples", "2", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
 
 
 class TestPointCommands:
@@ -182,6 +194,20 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--only", "nothing")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", [0, 8, 9, 15])
+    def test_grid_below_16_is_a_domain_error(self, capsys, monkeypatch, grid):
+        # the Richardson checks solve at grid // 2, which fem.assemble needs >= 8;
+        # the grid is rejected before any case runs
+        def no_fem(*args, **kwargs):
+            raise AssertionError("fem.assemble called")
+        monkeypatch.setattr(fem, "assemble", no_fem)
+        message = f"grid = {grid}: need grid >= 16"
+        with pytest.raises(DomainError, match=f"^{message}"):
+            run(grid=grid)
+        code, out, err = run_cli(capsys, "verify", "--grid", str(grid))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
     def test_only_matches_nothing(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--grid", "200",
                                  "--only", "nothing")
@@ -241,6 +267,16 @@ def test_negative_exponent_is_a_value(capsys, argv):
     assert (code, err) == (0, "")
     joined = (*argv[:-2], f"{argv[-2]}={argv[-1]}")
     assert run_cli(capsys, *joined) == (0, out, "")
+
+
+def test_import_loads_no_scipy():
+    # only verify solves with the FEM oracle, and it imports scipy when run
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import topext.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 class TestUsageErrors:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -31,19 +32,38 @@ def free_matrices(n):
 
 
 def dense(op):
-    return op.stiffness.toarray(), op.mass.toarray()
+    return op.K.csc().toarray(), op.M.csc().toarray()
+
+
+def sturm_count(d, e):
+    """Negative eigenvalues of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e: the negative pivots of its LDL^T.  A
+    pivot in [0, pivmin) is replaced by -pivmin, LAPACK's guard (dlaneg)
+    against division by zero."""
+    e2 = (e * e).tolist()
+    pivmin = sys.float_info.min * max(1.0, max(e2, default=0.0))
+    count, q = 0, 1.0
+    for di, e2i in zip(d.tolist(), [0.0] + e2):
+        q = di - e2i / q
+        if q < 0.0:
+            count += 1
+        elif q < pivmin:
+            q = -pivmin
+            count += 1
+    return count
 
 
 def sparse_count_below(op, sigma):
     """Reference count on the CSC matrices: A = K - sigma M as a sparse
-    matrix, node 0 split off, T^-1 r from a pivoted banded solve."""
-    A = op.stiffness - sigma * op.mass
+    matrix, node 0 split off, T^-1 r from a pivoted banded solve, and the
+    Sturm count above for T."""
+    A = op.K.csc() - sigma * op.M.csc()
     d, e = A.diagonal(), A.diagonal(1)
     r = A[:, 0].toarray().ravel()[1:]
     T = np.zeros((3, op.dim - 1))
     T[0, 1:], T[1], T[2, :-1] = e[1:], d[1:], e[1:]
     y = scipy.linalg.solve_banded((1, 1), T, r, check_finite=False)
-    return fem._sturm_count(d[1:], e[1:]) + int(d[0] - r @ y < 0.0)
+    return sturm_count(d[1:], e[1:]) + int(d[0] - r @ y < 0.0)
 
 
 CONDITIONS = st.one_of(
@@ -59,7 +79,7 @@ class TestAssembly:
         assert fem.assemble(16, AntiPeriodicRobin(1.0)).dim == 16
 
     def test_too_coarse(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^n = 4: grid too coarse, need n >= 8"):
             fem.assemble(4, Periodic())
 
     def test_complex_coupling_rejected(self):
@@ -107,23 +127,24 @@ class TestAssembly:
         P[n, 0] = c
         K_ref, M_ref = P.T @ K @ P, P.T @ M @ P
         K_ref[0, 0] += b1
-        op = fem.assemble(n, BoundaryCondition.one_dim_a(b1, c))
-        assert np.array_equal(op.stiffness.toarray(), K_ref)
-        assert np.array_equal(op.mass.toarray(), M_ref)
+        K_op, M_op = dense(fem.assemble(n, BoundaryCondition.one_dim_a(b1, c)))
+        assert np.array_equal(K_op, K_ref)
+        assert np.array_equal(M_op, M_ref)
 
     def test_dirichlet_equals_dense_restriction(self):
         K, M = free_matrices(100)
-        op = fem.assemble(100, BoundaryCondition.dirichlet())
-        assert np.array_equal(op.stiffness.toarray(), K[1:-1, 1:-1])
-        assert np.array_equal(op.mass.toarray(), M[1:-1, 1:-1])
+        K_op, M_op = dense(fem.assemble(100, BoundaryCondition.dirichlet()))
+        assert np.array_equal(K_op, K[1:-1, 1:-1])
+        assert np.array_equal(M_op, M[1:-1, 1:-1])
 
     def test_sparse_csc(self):
         for bc in BCS:
             op = fem.assemble(64, bc)
-            assert op.stiffness.format == op.mass.format == "csc", bc
+            K, M = op.K.csc(), op.M.csc()
+            assert K.format == M.format == "csc", bc
             # tridiagonal, plus the corner pair after a fold
             corner = 0 if bc.variant == "dirichlet" else 2
-            assert op.stiffness.nnz == op.mass.nnz == 3 * op.dim - 2 + corner, bc
+            assert K.nnz == M.nnz == 3 * op.dim - 2 + corner, bc
 
     def test_exactly_symmetric(self):
         for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.one_dim_a(0.5, 0.3),
@@ -156,7 +177,7 @@ class TestFormConsistency:
         gp = lambda t: (-math.pi * math.sin(math.pi * t)
                         + 0.9 * math.pi * math.cos(3.0 * math.pi * t))
         u = np.array([g(t) for t in x[:-1]])  # folded: last node = -first
-        discrete = u @ (op.stiffness @ u)
+        discrete = u @ (op.K.csc() @ u)
         rule = QuadratureRule.gauss(panels=n, nodes=2)  # panels align with elements
         exact = integrate(lambda t: gp(t) ** 2, 0.0, 1.0, rule) + b * g(0.0) ** 2
         assert abs(discrete - exact) < 1e-3 * max(1.0, abs(exact))
@@ -167,7 +188,7 @@ class TestFormConsistency:
         op = fem.assemble(n, AntiPeriodicRobin(b))
         x = np.linspace(0.0, 1.0, n + 1)
         u = 1.0 - 2.0 * x[:-1]
-        assert abs(u @ (op.stiffness @ u) - (4.0 + b)) < 1e-10
+        assert abs(u @ (op.K.csc() @ u) - (4.0 + b)) < 1e-10
 
 
 class TestDiscreteBottoms:
@@ -232,6 +253,22 @@ class TestSparseSolver:
         for sigma in np.linspace(ref[0] - 10.0, ref[8] + 10.0, 101):
             assert fem.count_below(op, sigma) == np.sum(ref < sigma), sigma
 
+    @pytest.mark.parametrize("n", [9, 64, 200])
+    @pytest.mark.parametrize("bc", BCS, ids=str)
+    def test_count_at_split_and_near_eigenvalue_shifts(self, bc, n):
+        # at sigma = -6 n^2 the off-diagonal -n - sigma / (6 n) of K - sigma M
+        # vanishes, so near it LAPACK's Sturm count splits T into blocks; at
+        # lambda_j (1 -+ 1e-10) the count must still separate lambda_j
+        op = fem.assemble(n, bc)
+        ref = scipy.linalg.eigh(*dense(op), eigvals_only=True)
+        split = [-6.0 * n * n * (1.0 + r)
+                 for r in (-1e-8, -1e-12, -1e-16, 0.0, 1e-16, 1e-12, 1e-8)]
+        near = [lam * (1.0 + s) for lam in ref[:5] if abs(lam) > 1e-6 for s in (-1e-10, 1e-10)]
+        assert len(near) >= 8
+        for sigma in split + near:
+            count = fem.count_below(op, sigma)
+            assert count == sparse_count_below(op, sigma) == np.sum(ref < sigma), sigma
+
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(bc=CONDITIONS, n=st.integers(8, 300), data=st.data())
     def test_count_equals_sparse_and_dense_counts(self, bc, n, data):
@@ -288,8 +325,15 @@ class TestSparseSolver:
     def test_singular_block_is_a_factorization_error(self):
         # K = M = 0: the block T on nodes 1..dim-1 has no pivot at all
         zero = fem.Bands(np.zeros(7), np.zeros(6), None)
-        op = fem.DiscreteOperator(8, BoundaryCondition.dirichlet(), zero, zero, None, None)
+        op = fem.DiscreteOperator(8, BoundaryCondition.dirichlet(), zero, zero)
         with pytest.raises(FactorizationError, match=r"^n = 8, sigma = 0\.5: singular matrix"):
+            fem.count_below(op, 0.5)
+
+    def test_sturm_count_failure_is_a_factorization_error(self, monkeypatch):
+        # LAPACK's dstebz returns (m, w, iblock, isplit, info)
+        monkeypatch.setattr(fem, "dstebz", lambda *args: (0, None, None, None, -3))
+        op = fem.assemble(8, Periodic())
+        with pytest.raises(FactorizationError, match=r"^n = 8, sigma = 0\.5: dstebz info = -3"):
             fem.count_below(op, 0.5)
 
     def test_certificate_failure_names_the_solve(self, monkeypatch):
