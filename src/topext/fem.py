@@ -53,16 +53,12 @@ class Bands(NamedTuple):
     corner: Optional[float]
 
     def csc(self) -> scipy.sparse.csc_matrix:
-        d, e = self.diag, self.off
-        i = np.arange(d.size)
-        rows, cols, data = [i, i[:-1], i[1:]], [i, i[1:], i[:-1]], [d, e, e]
-        if self.corner is not None:
-            rows.append([0, d.size - 1])
-            cols.append([d.size - 1, 0])
-            data.append([self.corner, self.corner])
-        return scipy.sparse.csc_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(d.size, d.size))
+        d, e, dim = self.diag, self.off, self.diag.size
+        if self.corner is None:
+            return scipy.sparse.diags([e, d, e], [-1, 0, 1], format="csc")
+        corner = [self.corner]
+        return scipy.sparse.diags([corner, e, d, e, corner], [1 - dim, -1, 0, 1, dim - 1],
+                                  format="csc")
 
 
 @dataclass(frozen=True)

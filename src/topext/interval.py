@@ -20,14 +20,17 @@ from typing import Callable, List
 import numpy as np
 
 # SearchError stays importable from here for callers that catch it by module
-from .numerics import (Bracket, DomainError, QuadratureRule, SearchError, bisect,
-                       integrate, reject_nonfinite)
+from .numerics import (Bracket, DomainError, SearchError, bisect, integrate,
+                       reject_nonfinite)
 from .kvb import Classification, DeficiencyModel
 
 M_S = math.pi ** 2
 
 # spectrum refuses a cutoff with more eigenvalues than this in either family
 _MAX_LEVELS = 100_000
+
+# deficiency_model refuses more series terms: its cache keeps two arrays of them
+_MAX_TERMS = 1_000_000
 
 # weighted_gram refuses a truncated series whose tail bound exceeds this
 _TAIL_TOL = 1e-8
@@ -79,12 +82,11 @@ def resolvent_at_bottom() -> Callable[[float], float]:
 
 
 def _gram_from_quadrature() -> np.ndarray:
-    rule = QuadratureRule.gauss(panels=8, nodes=10)
     basis = [lambda x: 1.0, lambda x: x]
     g = np.empty((2, 2))
     for i, ui in enumerate(basis):
         for j, uj in enumerate(basis):
-            g[i, j] = integrate(lambda x: ui(x) * uj(x), 0.0, 1.0, rule)
+            g[i, j] = integrate(lambda x: ui(x) * uj(x), 0.0, 1.0, 8, 10)
     return 0.5 * (g + g.T)
 
 
@@ -94,6 +96,8 @@ def deficiency_model(terms: int = 10_000) -> DeficiencyModel:
     entry evaluated by the even-mode eigenfunction series."""
     if terms < 1:
         raise DomainError(f"terms = {terms!r}; at least one series term is required")
+    if terms > _MAX_TERMS:
+        raise DomainError(f"terms = {terms!r}; at most {_MAX_TERMS} series terms are allowed")
     n = np.arange(2, 2 * terms + 1, 2, dtype=float)
     c2 = 8.0 / (n * n * math.pi ** 2)  # squared series coefficients
     n_max = n[-1]
@@ -111,7 +115,6 @@ def deficiency_model(terms: int = 10_000) -> DeficiencyModel:
 
     return DeficiencyModel(
         m_S=M_S,
-        dim=2,
         gram=_gram_from_quadrature(),
         V_basis=np.array([[1.0], [-2.0]]),
         weighted_gram=weighted_gram,

@@ -46,15 +46,15 @@ def _reject_nonfinite(**arrays: np.ndarray) -> None:
 class DeficiencyModel:
     """Finite-dimensional snapshot of one example operator.
 
-    gram holds <u_i, u_j> for a fixed basis {u_i} of ker S*.  V_basis
-    expresses a basis of V in the {u_i} coordinates (one column per V
-    vector).  weighted_gram(mu) returns <v_i, (S_F - mu)^{-1} v_j> on the
-    V basis for mu < m_S, and the regularized entries
-    <(S_F - m_S)^{-1/2} v_i, (S_F - m_S)^{-1/2} v_j> at mu = m_S.
+    gram holds <u_i, u_j> for a fixed basis {u_i} of ker S*, so its order
+    is the dimension of ker S*.  V_basis expresses a basis of V in the
+    {u_i} coordinates (one column per V vector).  weighted_gram(mu)
+    returns <v_i, (S_F - mu)^{-1} v_j> on the V basis for mu < m_S, and
+    the regularized entries <(S_F - m_S)^{-1/2} v_i, (S_F - m_S)^{-1/2} v_j>
+    at mu = m_S.
     """
 
     m_S: float
-    dim: int
     gram: np.ndarray
     V_basis: np.ndarray
     weighted_gram: Callable[[float], np.ndarray] = field(compare=False)
@@ -65,13 +65,13 @@ class DeficiencyModel:
         gram = np.asarray(self.gram, dtype=float)
         Vb = np.atleast_2d(np.asarray(self.V_basis, dtype=float))
         _reject_nonfinite(gram=gram, V_basis=Vb)
-        if gram.shape != (self.dim, self.dim):
-            raise ModelError(f"gram must be {self.dim}x{self.dim}")
+        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+            raise ModelError(f"gram must be a square matrix, got shape {gram.shape}")
         try:
             np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as exc:
             raise ModelError("gram matrix must be positive definite") from exc
-        if Vb.shape[0] != self.dim:
+        if Vb.shape[0] != gram.shape[0]:
             raise ModelError("V_basis rows must match the ker S* dimension")
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "V_basis", Vb)
@@ -199,7 +199,7 @@ def is_top_extension(T: ExtensionParameter, tq: TqResult) -> bool:
         raise CriterionViolatedError("D(T) is not in V; weighted_gram is undefined on it")
     q_D = C.T @ tq.q_matrix @ C
     scale = max(np.linalg.norm(T.T_matrix), np.linalg.norm(q_D))
-    return is_psd(T.T_matrix - q_D + TOL * scale * np.eye(len(q_D)), 0.0)
+    return is_psd(T.T_matrix - q_D + TOL * scale * np.eye(len(q_D)))
 
 
 def mu_criterion(T: ExtensionParameter, model: DeficiencyModel, mu: float) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -86,39 +86,24 @@ def bisect(f: Callable[[float], float], b: Bracket, tol: float = 1e-12) -> float
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Composite Gauss-Legendre rule: `nodes` points on each of `panels` panels."""
-
-    panels: int
-    nodes: int
-
-    def __post_init__(self):
-        if self.panels < 1:
-            raise DomainError("panels must be >= 1")
-        if not 2 <= self.nodes <= 16:
-            raise DomainError("gauss-legendre needs 2..16 nodes per panel")
-
-    @classmethod
-    def gauss(cls, panels: int = 64, nodes: int = 10) -> "QuadratureRule":
-        return cls(panels, nodes)
-
-
 @lru_cache(maxsize=32)
 def _leggauss(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
+    return np.polynomial.legendre.leggauss(nodes)
 
 
-def integrate(f: Callable[[float], float], a: float, b: float,
-              rule: Optional[QuadratureRule] = None) -> float:
-    """Composite Gauss-Legendre quadrature of f over [a, b]."""
+def integrate(f: Callable[[float], float], a: float, b: float, panels: int,
+              nodes: int) -> float:
+    """Composite Gauss-Legendre quadrature of f over [a, b]: `nodes` points
+    on each of `panels` equal panels."""
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
-    rule = rule or QuadratureRule.gauss()
-    edges = np.linspace(a, b, rule.panels + 1)
+    if panels < 1:
+        raise DomainError("panels must be >= 1")
+    if not 2 <= nodes <= 16:
+        raise DomainError("gauss-legendre needs 2..16 nodes per panel")
+    edges = np.linspace(a, b, panels + 1)
     total = 0.0
-    x, w = _leggauss(rule.nodes)
+    x, w = _leggauss(nodes)
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
@@ -174,16 +159,12 @@ def _as_symmetric(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def is_psd(A: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff the minimal eigenvalue of A is >= -tol * ||A||_2.
+def is_psd(A: np.ndarray) -> bool:
+    """True iff the least eigenvalue of A is >= 0.
 
     A must be finite and symmetric to within 1e-12 (1 + max |A_ij|)
     entrywise; otherwise DomainError.  An empty matrix is PSD."""
-    if tol < 0:
-        raise DomainError("tol must be >= 0")
     A = _as_symmetric(A)
     if A.size == 0:
         return True
-    w = np.linalg.eigvalsh(A)
-    norm = float(np.abs(w).max())
-    return bool(w[0] >= -tol * norm)
+    return bool(np.linalg.eigvalsh(A)[0] >= 0.0)

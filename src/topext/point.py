@@ -11,32 +11,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import DomainError, QuadratureRule, integrate, reject_nonfinite
+from .numerics import DomainError, integrate, reject_nonfinite
 from .kvb import Classification, DeficiencyModel, ExtensionParameter
 
 SHIFT = 1.0  # the spectra below are reported for the unshifted operator
 
-_RADIAL_RULE = QuadratureRule.gauss(panels=80, nodes=12)
 
-
-def radial_integral(f: Callable[[float], float],
-                    rule: QuadratureRule | None = None) -> float:
-    """4 pi * int_0^inf f(r) dr via the compactifying substitution r = tan(theta)."""
-    rule = rule or _RADIAL_RULE
+def radial_integral(f: Callable[[float], float]) -> float:
+    """4 pi * int_0^inf f(r) dr via the compactifying substitution r = tan(theta),
+    on 80 panels of 12 Gauss-Legendre nodes."""
 
     def g(theta: float) -> float:
         r = math.tan(theta)
         return f(r) * (1.0 + r * r)
 
-    return 4.0 * math.pi * integrate(g, 0.0, 0.5 * math.pi, rule)
+    return 4.0 * math.pi * integrate(g, 0.0, 0.5 * math.pi, 80, 12)
 
 
-@lru_cache(maxsize=4)
+@cache
 def deficiency_model_point() -> DeficiencyModel:
     """Fourier-space model on the basis {G_1}: all entries are radial
     integrals of rational functions of r = |p|."""
@@ -55,7 +52,6 @@ def deficiency_model_point() -> DeficiencyModel:
 
     return DeficiencyModel(
         m_S=SHIFT,
-        dim=1,
         gram=np.array([[gram]]),
         V_basis=np.array([[1.0]]),
         weighted_gram=weighted_gram,

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import coulomb, fem, interval, kvb, point
-from .numerics import DomainError, QuadratureRule, digamma, integrate
+from .numerics import DomainError, digamma, integrate
 
 PI2 = math.pi ** 2
 
@@ -72,14 +72,14 @@ def _oracle_tight(analytic: float, discrete: float, grid: int, bc) -> tuple:
     return ok, f"richardson={extrapolated!r} richardson_error={richardson!r}"
 
 
-def case_interval_tq(terms: int = 10_000) -> Report:
+def case_interval_tq() -> Report:
+    terms = 10_000
     model = interval.deficiency_model(terms)
     tq = kvb.build_q(model)
     # independent route to q[v]: closed-form resolvent plus quadrature
     res = interval.resolvent_at_bottom()
-    rule = QuadratureRule.gauss(panels=64, nodes=10)
-    inner = integrate(lambda x: (1.0 - 2.0 * x) * res(x), 0.0, 1.0, rule)
-    norm2 = integrate(lambda x: (1.0 - 2.0 * x) ** 2, 0.0, 1.0, rule)
+    inner = integrate(lambda x: (1.0 - 2.0 * x) * res(x), 0.0, 1.0, 64, 10)
+    norm2 = integrate(lambda x: (1.0 - 2.0 * x) ** 2, 0.0, 1.0, 64, 10)
     q_v = float(PI2 * norm2 + PI2 ** 2 * inner)
     ok = abs(tq.t_q_scalar - 12.0) <= TQ_TOL and abs(q_v - 4.0) <= QV_TOL
     return Report(
@@ -176,8 +176,8 @@ def cases_convergence() -> List[Report]:
     return reports
 
 
-def case_variational(matrices: int = 200, samples: int = 500, dim: int = 5,
-                     seed: int = 1234) -> Report:
+def case_variational() -> Report:
+    matrices, samples, dim, seed = 200, 500, 5, 1234
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(matrices):

@@ -246,6 +246,7 @@ class TestVerifyCommand:
     ("interval", "secular", "--samples", "3", "--min=-1e308", "--max", "1e307"),
     ("interval", "classify", "--b=-1e200"),
     ("interval", "tq", "--terms", "10"),
+    ("interval", "tq", "--terms", "2000000"),
 ])
 def test_nan_input_is_a_domain_error(capsys, argv):
     name = [a for a in argv if a.startswith("--")][-1][2:].split("=")[0]

@@ -5,7 +5,7 @@ import pytest
 
 from topext import interval, kvb
 from topext.interval import ConvergenceError, PoleError
-from topext.numerics import DomainError, QuadratureRule, integrate
+from topext.numerics import DomainError, integrate
 
 PI2 = math.pi ** 2
 
@@ -22,8 +22,7 @@ class TestResolventAtBottom:
     def test_minimal_norm(self):
         # orthogonal to the ground mode sin(pi x)
         res = interval.resolvent_at_bottom()
-        val = integrate(lambda x: res(x) * math.sin(math.pi * x), 0.0, 1.0,
-                        QuadratureRule.gauss(panels=64, nodes=10))
+        val = integrate(lambda x: res(x) * math.sin(math.pi * x), 0.0, 1.0, 64, 10)
         assert abs(val) < 1e-13
 
 
@@ -44,10 +43,9 @@ class TestDeficiencyModel:
         # <v, S_F^{-1} v> with v = 1 - 2x: quadrature route
         # S_F^{-1}(1 - 2x) = x/6 - x^2/2 + x^3/3 (-u'' = 1 - 2x, u(0) = u(1) = 0)
         model = interval.deficiency_model()
-        rule = QuadratureRule.gauss(panels=64, nodes=10)
         direct = integrate(
             lambda x: (1.0 - 2.0 * x) * (x / 6.0 - x * x / 2.0 + x ** 3 / 3.0),
-            0.0, 1.0, rule)
+            0.0, 1.0, 64, 10)
         assert abs(float(model.weighted_gram(0.0)[0, 0]) - direct) < 1e-10
 
     def test_domain_guard(self):
@@ -58,6 +56,14 @@ class TestDeficiencyModel:
     def test_tail_budget(self):
         with pytest.raises(ConvergenceError):
             interval.deficiency_model(terms=10).weighted_gram(0.0)
+
+    def test_terms_bound(self):
+        # the cache would keep two float arrays of `terms` entries
+        build = interval.deficiency_model.__wrapped__
+        assert build(interval._MAX_TERMS).m_S == PI2
+        for terms in (interval._MAX_TERMS + 1, 10 ** 9):
+            with pytest.raises(DomainError, match=f"^terms = {terms}; at most"):
+                interval.deficiency_model(terms)
 
     def test_tq(self):
         tq = kvb.build_q(interval.deficiency_model())

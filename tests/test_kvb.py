@@ -25,25 +25,30 @@ def toy_model(m_S=1.0, w0=2.0):
     def weighted(mu):
         return np.array([[w0 * (1.0 + mu / m_S)]])
 
-    return DeficiencyModel(m_S=m_S, dim=1, gram=np.eye(1),
+    return DeficiencyModel(m_S=m_S, gram=np.eye(1),
                            V_basis=np.eye(1), weighted_gram=weighted)
 
 
 class TestDeficiencyModel:
     def test_validation(self):
         with pytest.raises(ModelError):
-            DeficiencyModel(m_S=0.0, dim=1, gram=np.eye(1),
+            DeficiencyModel(m_S=0.0, gram=np.eye(1),
                             V_basis=np.eye(1), weighted_gram=lambda mu: np.eye(1))
         with pytest.raises(ModelError):
-            DeficiencyModel(m_S=1.0, dim=2, gram=np.array([[1.0, 2.0], [2.0, 1.0]]),
+            DeficiencyModel(m_S=1.0, gram=np.array([[1.0, 2.0], [2.0, 1.0]]),
                             V_basis=np.eye(2), weighted_gram=lambda mu: np.eye(2))
-        with pytest.raises(ModelError):
-            DeficiencyModel(m_S=1.0, dim=2, gram=np.eye(1),
-                            V_basis=np.eye(2), weighted_gram=lambda mu: np.eye(2))
+        for gram in (np.ones((2, 3)), np.ones(2), np.ones((1, 1, 1))):
+            with pytest.raises(ModelError, match="square"):
+                DeficiencyModel(m_S=1.0, gram=gram,
+                                V_basis=np.eye(2), weighted_gram=lambda mu: np.eye(2))
+        for V_basis in (np.eye(1), np.ones((3, 1))):
+            with pytest.raises(ModelError, match="V_basis rows"):
+                DeficiencyModel(m_S=1.0, gram=np.eye(2),
+                                V_basis=V_basis, weighted_gram=lambda mu: np.eye(1))
 
     def test_gram_V(self):
         g = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
-        model = DeficiencyModel(m_S=1.0, dim=2, gram=g,
+        model = DeficiencyModel(m_S=1.0, gram=g,
                                 V_basis=np.array([[1.0], [-2.0]]),
                                 weighted_gram=lambda mu: np.eye(1))
         # <1-2x, 1-2x> with the {1, x} gram of L^2(0,1)
@@ -74,11 +79,11 @@ NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("name, make", [
-    ("gram", lambda: DeficiencyModel(m_S=1.0, dim=1, gram=[[NAN]], V_basis=np.eye(1),
+    ("gram", lambda: DeficiencyModel(m_S=1.0, gram=[[NAN]], V_basis=np.eye(1),
                                      weighted_gram=lambda mu: np.eye(1))),
-    ("V_basis", lambda: DeficiencyModel(m_S=1.0, dim=1, gram=np.eye(1), V_basis=[[INF]],
+    ("V_basis", lambda: DeficiencyModel(m_S=1.0, gram=np.eye(1), V_basis=[[INF]],
                                         weighted_gram=lambda mu: np.eye(1))),
-    ("V_basis", lambda: DeficiencyModel(m_S=1.0, dim=1, gram=np.eye(1), V_basis=[[NAN]],
+    ("V_basis", lambda: DeficiencyModel(m_S=1.0, gram=np.eye(1), V_basis=[[NAN]],
                                         weighted_gram=lambda mu: np.eye(1))),
     ("domain_basis", lambda: ExtensionParameter([[NAN]], np.eye(1))),
     ("T_matrix", lambda: ExtensionParameter(np.eye(1), [[INF]])),
@@ -98,7 +103,7 @@ class TestBuildQ:
         assert abs(tq.t_q_scalar - 5.0) < 1e-14
 
     def test_trivial_V(self):
-        model = DeficiencyModel(m_S=1.0, dim=1, gram=np.eye(1),
+        model = DeficiencyModel(m_S=1.0, gram=np.eye(1),
                                 V_basis=np.zeros((1, 0)),
                                 weighted_gram=lambda mu: np.zeros((0, 0)))
         with pytest.raises(CriterionViolatedError):
@@ -118,7 +123,7 @@ class TestIsTopExtension:
 
     def test_domain_outside_V(self):
         g = np.eye(2)
-        model = DeficiencyModel(m_S=1.0, dim=2, gram=g,
+        model = DeficiencyModel(m_S=1.0, gram=g,
                                 V_basis=np.array([[1.0], [0.0]]),
                                 weighted_gram=lambda mu: np.eye(1))
         tq = build_q(model)
@@ -127,7 +132,7 @@ class TestIsTopExtension:
 
     def test_matrix_parameter(self):
         g = np.eye(2)
-        model = DeficiencyModel(m_S=1.0, dim=2, gram=g, V_basis=np.eye(2),
+        model = DeficiencyModel(m_S=1.0, gram=g, V_basis=np.eye(2),
                                 weighted_gram=lambda mu: (1.0 + mu) * np.eye(2))
         tq = build_q(model)
         # q = I + 2 I = 3 I on the ambient basis
@@ -168,7 +173,7 @@ class TestMuCriterion:
         with pytest.raises(DomainError):
             mu_criterion(T, model, 1.0)
         g = np.eye(2)
-        model2 = DeficiencyModel(m_S=1.0, dim=2, gram=g,
+        model2 = DeficiencyModel(m_S=1.0, gram=g,
                                  V_basis=np.array([[1.0], [0.0]]),
                                  weighted_gram=lambda mu: np.eye(1))
         T2 = ExtensionParameter.scalar(1.0, np.array([[0.0], [1.0]]), g)
@@ -218,7 +223,7 @@ class TestOneForm:
 
     def test_domain_outside_V(self):
         g = np.eye(2)
-        model = DeficiencyModel(m_S=1.0, dim=2, gram=g, V_basis=np.array([[1.0], [0.0]]),
+        model = DeficiencyModel(m_S=1.0, gram=g, V_basis=np.array([[1.0], [0.0]]),
                                 weighted_gram=lambda mu: np.eye(1))
         T = ExtensionParameter.scalar(100.0, np.array([[0.0], [1.0]]), g)
         assert not is_top_extension(T, build_q(model))

@@ -9,7 +9,6 @@ from topext.numerics import (
     BracketError,
     DomainError,
     EvaluationError,
-    QuadratureRule,
     bisect,
     digamma,
     integrate,
@@ -59,11 +58,11 @@ class TestBisect:
 
 class TestIntegrate:
     def test_paper_norm(self):
-        val = integrate(lambda x: (1.0 - 2.0 * x) ** 2, 0.0, 1.0)
+        val = integrate(lambda x: (1.0 - 2.0 * x) ** 2, 0.0, 1.0, 64, 10)
         assert abs(val - 1.0 / 3.0) < 1e-14
 
     def test_constant(self):
-        assert abs(integrate(lambda x: 1.0, 0.0, 1.0) - 1.0) < 1e-14
+        assert abs(integrate(lambda x: 1.0, 0.0, 1.0, 64, 10) - 1.0) < 1e-14
 
     def test_orthogonality(self):
         # symbolic oracle: int_0^1 sin(pi x)(1-2x) dx = 0
@@ -71,29 +70,29 @@ class TestIntegrate:
         x = sympy.symbols("x")
         exact = float(sympy.integrate(sympy.sin(sympy.pi * x) * (1 - 2 * x), (x, 0, 1)))
         assert exact == 0.0
-        val = integrate(lambda x: math.sin(math.pi * x) * (1.0 - 2.0 * x), 0.0, 1.0)
+        val = integrate(lambda x: math.sin(math.pi * x) * (1.0 - 2.0 * x), 0.0, 1.0, 64, 10)
         assert abs(val - exact) < 1e-13
 
     def test_gauss_convergence_order(self):
         # 5-node Gauss-Legendre on smooth f: observed order >= 8 as panels double
         f = lambda x: math.exp(math.sin(3.0 * x))
-        exact = integrate(f, 0.0, 2.0, QuadratureRule.gauss(panels=256, nodes=16))
-        e1 = abs(integrate(f, 0.0, 2.0, QuadratureRule.gauss(panels=2, nodes=5)) - exact)
-        e2 = abs(integrate(f, 0.0, 2.0, QuadratureRule.gauss(panels=4, nodes=5)) - exact)
+        exact = integrate(f, 0.0, 2.0, 256, 16)
+        e1 = abs(integrate(f, 0.0, 2.0, 2, 5) - exact)
+        e2 = abs(integrate(f, 0.0, 2.0, 4, 5) - exact)
         assert math.log2(e1 / e2) >= 8.0
 
     def test_bad_rules(self):
-        with pytest.raises(DomainError):
-            QuadratureRule.gauss(panels=4, nodes=20)
-        with pytest.raises(DomainError):
-            QuadratureRule.gauss(panels=4, nodes=1)
-        with pytest.raises(DomainError):
-            QuadratureRule.gauss(panels=0, nodes=5)
+        f = lambda x: 1.0
+        with pytest.raises(DomainError, match="2..16 nodes"):
+            integrate(f, 0.0, 1.0, 4, 20)
+        with pytest.raises(DomainError, match="2..16 nodes"):
+            integrate(f, 0.0, 1.0, 4, 1)
+        with pytest.raises(DomainError, match="panels must be >= 1"):
+            integrate(f, 0.0, 1.0, 0, 5)
 
     def test_nonfinite_integrand(self):
         with pytest.raises(EvaluationError):
-            integrate(lambda x: math.inf if x < 0.5 else 1.0, 0.0, 1.0,
-                      QuadratureRule.gauss(panels=4, nodes=2))
+            integrate(lambda x: math.inf if x < 0.5 else 1.0, 0.0, 1.0, 4, 2)
 
 
 class TestDigamma:
@@ -129,16 +128,16 @@ class TestDigamma:
 
 class TestIsPsd:
     def test_examples(self):
-        assert is_psd(np.eye(3), 0.0)
-        assert not is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-10)
-        assert is_psd(np.zeros((4, 4)), 0.0)
+        assert is_psd(np.eye(3))
+        assert not is_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert is_psd(np.zeros((4, 4)))
 
     def test_agrees_with_min_eigenvalue(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             A = rng.standard_normal((6, 6))
             A = 0.5 * (A + A.T)
-            assert is_psd(A, 0.0) == (np.linalg.eigvalsh(A)[0] >= 0.0)
+            assert is_psd(A) == (np.linalg.eigvalsh(A)[0] >= 0.0)
 
     def test_agrees_with_scipy_reference(self):
         import scipy.linalg
@@ -148,13 +147,10 @@ class TestIsPsd:
                 A = rng.standard_normal((n, n))
                 A = 0.5 * (A + A.T) + rng.uniform(-1.0, 3.0) * np.eye(n)
                 w = scipy.linalg.eigvalsh(A)
-                for tol in (0.0, 1e-10, 0.3):
-                    want = bool(w[0] >= -tol * float(np.abs(w).max()))
-                    assert is_psd(A, tol) == want, (n, tol, w)
+                assert is_psd(A) == bool(w[0] >= 0.0), (n, w)
 
     def test_empty_matrix(self):
         assert is_psd(np.zeros((0, 0)))
-        assert is_psd(np.zeros((0, 0)), 0.0)
 
     def test_symmetry_rule(self):
         # |A - A^T| <= 1e-12 (1 + max |A|) entrywise, as np.allclose(A, A.T,
