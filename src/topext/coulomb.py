@@ -76,6 +76,8 @@ def coulomb_eigenvalue(nu: float, alpha: float) -> Optional[float]:
         f_hi = f(hi)
     while f_lo < 0.0:
         hi, f_hi, lo = lo, f_lo, 0.5 * lo
+        if lo * lo == 0.0:
+            raise DomainError(f"alpha = {alpha!r}: the eigenvalue E = -s^2 underflows a float")
         f_lo = f(lo)
     s = lo if f_lo == 0.0 else bisect(f, Bracket(lo, hi, f_lo, f_hi), tol=1e-15 * hi)
     E = -s * s

@@ -202,13 +202,6 @@ def is_top_extension(T: ExtensionParameter, tq: TqResult) -> bool:
     return is_psd(T.T_matrix - q_D + TOL * scale * np.eye(len(q_D)))
 
 
-def mu_criterion(T: ExtensionParameter, model: DeficiencyModel, mu: float) -> bool:
-    """True iff m(S_T) >= mu < m(S), read off the parameter as T >= q_mu."""
-    if mu >= model.m_S:
-        raise DomainError(f"mu must be below m(S) = {model.m_S}")
-    return is_top_extension(T, build_q(model, mu))
-
-
 def krein_bound(m_S: float, m_T: float) -> float:
     """Certified lower bound m(S) m(T) / (m(S) + m(T)) for m(S_T)."""
     if m_T <= -m_S:

@@ -5,6 +5,7 @@ CLI `verify` command emits them and fails (exit 1) when any case fails.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -55,21 +56,19 @@ class Report:
         return cls(**json.loads(line))
 
 
-def _oracle_close(analytic: float, discrete: float) -> bool:
-    return abs(discrete - analytic) <= ORACLE_REL_TOL * max(abs(analytic), 1.0)
-
-
-def _oracle_tight(analytic: float, discrete: float, grid: int, bc) -> tuple:
-    """(ok, detail) of the two checks that the O(h^2), one-sided P1 error
-    allows: the Richardson extrapolation (4 lambda_grid - lambda_grid/2) / 3
-    within RICHARDSON_REL_TOL, and the oracle not below the analytic bottom
-    by more than ONE_SIDED_REL_TOL (both relative to max(1, |analytic|))."""
+def _oracle(discrete: float, coarse: float, analytic: float, tol: float) -> tuple:
+    """(abs_error, passed, detail) of the P1 bottom `discrete` at grid n, given
+    `coarse` at n // 2: the error within `tol` and, as the O(h^2) one-sided P1
+    error allows, the Richardson extrapolation (4 discrete - coarse) / 3 within
+    RICHARDSON_REL_TOL and no undershoot beyond ONE_SIDED_REL_TOL; all three
+    relative to max(1, |analytic|)."""
     scale = max(1.0, abs(analytic))
-    extrapolated = (4.0 * discrete - fem.discrete_bottom(grid // 2, bc)) / 3.0
+    err = abs(discrete - analytic)
+    extrapolated = (4.0 * discrete - coarse) / 3.0
     richardson = abs(extrapolated - analytic)
-    ok = (richardson <= RICHARDSON_REL_TOL * scale
+    ok = (err <= tol * scale and richardson <= RICHARDSON_REL_TOL * scale
           and discrete >= analytic - ONE_SIDED_REL_TOL * scale)
-    return ok, f"richardson={extrapolated!r} richardson_error={richardson!r}"
+    return err, ok, f"richardson={extrapolated!r} richardson_error={richardson!r}"
 
 
 def case_interval_tq() -> Report:
@@ -113,63 +112,59 @@ def case_interval_secular() -> Report:
         detail=f"F(pi^2)={f_at_pi2!r} root={root!r}")
 
 
-def cases_interval_classify(grid: int) -> List[Report]:
+def cases_interval_classify(grid: int, bottom) -> List[Report]:
     reports = []
     for b in CLASSIFY_BS:
         cls = interval.classify(b)
         analytic = interval.spectrum(cls.t, cutoff=200.0).bottom
         bc = fem.AntiPeriodicRobin(b)
-        discrete = fem.discrete_bottom(grid, bc)
-        tight, detail = _oracle_tight(analytic, discrete, grid, bc)
-        ok = (_oracle_close(analytic, discrete) and tight and cls.top == (b >= 0.0)
-              and cls.bottom == analytic)
-        if b < 0:
-            ok = ok and discrete < PI2
+        discrete = bottom(grid, bc)
+        err, ok, detail = _oracle(discrete, bottom(grid // 2, bc), analytic, ORACLE_REL_TOL)
+        ok = (ok and cls.top == (b >= 0.0) and cls.bottom == analytic
+              and (b >= 0.0 or discrete < PI2))
         reports.append(Report(
             case=f"interval-classify-b={b:g}", example="interval",
             parameters={"b": b, "grid": grid}, m_S=PI2, t_q=12.0,
             classification=cls.label, bottom_analytic=analytic, bottom_oracle=discrete,
-            abs_error=abs(discrete - analytic), passed=ok, detail=detail))
+            abs_error=err, passed=ok, detail=detail))
     return reports
 
 
-# the Friedrichs extension of the interval operator: Dirichlet conditions
-DIRICHLET = kvb.Classification.of(top=True, bottom=PI2, friedrichs=True)
-
-
-def cases_named_spectra(grid: int) -> List[Report]:
-    specs = [
-        ("Dirichlet", interval.BoundaryCondition.dirichlet(), DIRICHLET, ORACLE_REL_TOL * PI2),
+def named_conditions() -> list:
+    """(name, condition, classification, oracle tolerance) of the named
+    interval conditions; Dirichlet gives the Friedrichs extension."""
+    return [
+        ("Dirichlet", interval.BoundaryCondition.dirichlet(),
+         kvb.Classification.of(top=True, bottom=PI2, friedrichs=True), ORACLE_REL_TOL),
         ("Periodic", fem.Periodic(), kvb.Classification.of(top=False, bottom=0.0),
-         PERIODIC_ABS_TOL),
-        ("AntiPeriodic", fem.AntiPeriodicRobin(0.0), interval.classify(0.0),
-         ORACLE_REL_TOL * PI2),
+         PERIODIC_ABS_TOL),  # the bottom is 0: absolute
+        ("AntiPeriodic", fem.AntiPeriodicRobin(0.0), interval.classify(0.0), ORACLE_REL_TOL),
     ]
+
+
+def cases_named_spectra(grid: int, bottom) -> List[Report]:
     reports = []
-    for name, bc, cls, tol in specs:
-        discrete = fem.discrete_bottom(grid, bc)
-        err = abs(discrete - cls.bottom)
-        tight, detail = _oracle_tight(cls.bottom, discrete, grid, bc)
+    for name, bc, cls, tol in named_conditions():
+        discrete = bottom(grid, bc)
+        err, ok, detail = _oracle(discrete, bottom(grid // 2, bc), cls.bottom, tol)
         reports.append(Report(
             case=f"named-{name.lower()}", example="interval",
             parameters={"grid": grid}, m_S=PI2, classification=cls.label,
             bottom_analytic=cls.bottom, bottom_oracle=discrete,
-            abs_error=err, passed=err <= tol and tight, detail=detail))
+            abs_error=err, passed=ok, detail=detail))
     return reports
 
 
-def cases_convergence() -> List[Report]:
+def cases_convergence(bottom) -> List[Report]:
     reports = []
-    for name, bc, cls in [
-        ("dirichlet", interval.BoundaryCondition.dirichlet(), DIRICHLET),
-        ("antiperiodic", fem.AntiPeriodicRobin(0.0), interval.classify(0.0)),
-    ]:
-        e_500 = abs(fem.discrete_bottom(500, bc) - cls.bottom)
-        e_1000 = abs(fem.discrete_bottom(1000, bc) - cls.bottom)
+    for name, bc, cls, _ in named_conditions():
+        if cls.bottom == 0.0:
+            continue  # periodic: P1 holds the constant bottom mode exactly
+        e_500, e_1000 = (abs(bottom(n, bc) - cls.bottom) for n in (500, 1000))
         order = math.log2(e_500 / e_1000)
         ok = abs(order - 2.0) <= ORDER_WINDOW
         reports.append(Report(
-            case=f"convergence-{name}", example="interval",
+            case=f"convergence-{name.lower()}", example="interval",
             parameters={"grids": 500.0, "order": order}, m_S=PI2,
             classification=cls.label, bottom_analytic=cls.bottom, passed=ok,
             detail=f"order={order!r}"))
@@ -199,8 +194,8 @@ def interval_t_grid_bottoms():
     return ts, bottoms
 
 
-def case_ordering() -> Report:
-    ts, bottoms = interval_t_grid_bottoms()
+def case_ordering(t_grid) -> Report:
+    ts, bottoms = t_grid()
     monotone = all(b2 >= b1 - 1e-9 for b1, b2 in zip(bottoms, bottoms[1:]))
     ok = monotone
     for model, m_S in [(interval.deficiency_model(), PI2),
@@ -213,8 +208,8 @@ def case_ordering() -> Report:
         detail="spectrum bottom nondecreasing in t; weighted_gram nondecreasing in mu")
 
 
-def case_krein() -> Report:
-    ts, bottoms = interval_t_grid_bottoms()
+def case_krein(t_grid) -> Report:
+    ts, bottoms = t_grid()
     model = interval.deficiency_model()
     mus = np.linspace(-150.0, PI2, 41)[:-1].tolist()
     q_mus = [kvb.build_q(model, mu) for mu in mus]
@@ -223,7 +218,7 @@ def case_krein() -> Report:
     for t, bottom in zip(ts, bottoms):
         if t > 0 and not (kvb.krein_bound(PI2, float(t)) - 1e-9 <= bottom <= t + 1e-9):
             ok = False
-        # mu-criterion: m(S_T) >= mu iff T >= q_mu, read off the parameter T alone
+        # m(S_T) >= mu iff T >= q_mu, read off the parameter T alone
         T = kvb.ExtensionParameter.scalar(float(t), model.V_basis, model.gram)
         agree += sum(kvb.is_top_extension(T, q) == (bottom >= mu) for mu, q in zip(mus, q_mus))
     pairs = len(ts) * len(mus)
@@ -296,34 +291,38 @@ def cases_coulomb() -> List[Report]:
 
 
 # (example, case-name prefix, case function) for every case function, in run
-# order.  `run` calls a function only if one of its records can match --only.
-# Each lambda looks its function up in this module's globals when called, so
-# a wrapper installed there (e.g. by a tracer) sees the call.
+# order.  `run` calls a function only if one of its records can match --only,
+# with the grid and the pass's memos.  Each lambda looks its function up in
+# this module's globals when called, so a tracer's wrapper there sees the call.
 CASES = (
-    ("interval", "interval-tq", lambda grid: [case_interval_tq()]),
-    ("point", "point-tq", lambda grid: [case_point_tq()]),
-    ("interval", "interval-secular", lambda grid: [case_interval_secular()]),
-    ("interval", "interval-classify-", lambda grid: cases_interval_classify(grid)),
-    ("interval", "named-", lambda grid: cases_named_spectra(grid)),
-    ("interval", "convergence-", lambda grid: cases_convergence()),
-    ("abstract", "variational-sup", lambda grid: [case_variational()]),
-    ("abstract", "ordering-monotonicity", lambda grid: [case_ordering()]),
-    ("interval", "krein-bound", lambda grid: [case_krein()]),
-    ("point", "point-", lambda grid: cases_point()),
-    ("coulomb", "coulomb-", lambda grid: cases_coulomb()),
+    ("interval", "interval-tq", lambda grid, bottom, t_grid: [case_interval_tq()]),
+    ("point", "point-tq", lambda grid, bottom, t_grid: [case_point_tq()]),
+    ("interval", "interval-secular", lambda grid, bottom, t_grid: [case_interval_secular()]),
+    ("interval", "interval-classify-",
+     lambda grid, bottom, t_grid: cases_interval_classify(grid, bottom)),
+    ("interval", "named-", lambda grid, bottom, t_grid: cases_named_spectra(grid, bottom)),
+    ("interval", "convergence-", lambda grid, bottom, t_grid: cases_convergence(bottom)),
+    ("abstract", "variational-sup", lambda grid, bottom, t_grid: [case_variational()]),
+    ("abstract", "ordering-monotonicity", lambda grid, bottom, t_grid: [case_ordering(t_grid)]),
+    ("interval", "krein-bound", lambda grid, bottom, t_grid: [case_krein(t_grid)]),
+    ("point", "point-", lambda grid, bottom, t_grid: cases_point()),
+    ("coulomb", "coulomb-", lambda grid, bottom, t_grid: cases_coulomb()),
 )
 
 
 def run(grid: int = 2000, only: Optional[str] = None) -> List[Report]:
     """Run the verification matrix, optionally filtered to one example or
-    to the cases whose name starts with `only`."""
+    to the cases whose name starts with `only`.  The pass solves each FEM
+    bottom once per (n, bc) and builds the t grid once, and keeps neither."""
     if grid < 16:
         raise DomainError(f"grid = {grid}: need grid >= 16 (the Richardson checks "
                           "solve at grid // 2, which must be at least 8)")
+    bottom = functools.cache(fem.discrete_bottom)
+    t_grid = functools.cache(interval_t_grid_bottoms)
     reports: List[Report] = []
     for example, prefix, cases in CASES:
         if only in (None, example) or prefix.startswith(only) or only.startswith(prefix):
-            reports.extend(cases(grid))
+            reports.extend(cases(grid, bottom, t_grid))
     if only is not None:
         reports = [r for r in reports if r.example == only or r.case.startswith(only)]
     return sorted(reports, key=lambda r: r.case)

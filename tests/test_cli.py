@@ -247,6 +247,8 @@ class TestVerifyCommand:
     ("interval", "classify", "--b=-1e200"),
     ("interval", "tq", "--terms", "10"),
     ("interval", "tq", "--terms", "2000000"),
+    ("coulomb", "eigenvalue", "--nu=1e-300", "--alpha=-1e-200"),
+    ("coulomb", "classify", "--nu=1e-320", "--alpha=-1e-300"),
 ])
 def test_nan_input_is_a_domain_error(capsys, argv):
     name = [a for a in argv if a.startswith("--")][-1][2:].split("=")[0]

@@ -141,5 +141,5 @@ class TestClassify:
         alpha = -0.05
         T = point.extension_parameter(alpha)
         bottom_shifted = 1.0 - (4.0 * math.pi * alpha) ** 2
-        assert kvb.mu_criterion(T, model, bottom_shifted - 1e-4)
-        assert not kvb.mu_criterion(T, model, bottom_shifted + 1e-4)
+        assert kvb.is_top_extension(T, kvb.build_q(model, bottom_shifted - 1e-4))
+        assert not kvb.is_top_extension(T, kvb.build_q(model, bottom_shifted + 1e-4))

@@ -126,4 +126,4 @@ def test_mu_criterion_matches_bottom(t, mu):
     # forms' size, so it may call a bottom just below mu "at least mu"; the
     # band left out is wider than that
     assume(abs(bottom - mu) > 1e-8 * max(1.0, abs(mu)))
-    assert kvb.mu_criterion(T, model, mu) == (bottom >= mu)
+    assert kvb.is_top_extension(T, kvb.build_q(model, mu)) == (bottom >= mu)
