@@ -7,12 +7,21 @@ integration by parts.  Discrete bottoms over-estimate the analytic ones
 (variational one-sided error), which makes the comparison honest.
 
 The pencil (K, M) is symmetric tridiagonal plus, after the fold
-u_n = c u_0, the corner pair (0, dim-1); it is held once, as bands.  Its
-lowest eigenvalues come from one sparse shift-invert Lanczos solve on CSC
-copies built for that call, and each is certified by inertia counts on the
-bands: by Sylvester's law the number of eigenvalues below sigma is the
-number of negative eigenvalues of K - sigma M, which LAPACK's Sturm count
-(dstebz) and one pivoted tridiagonal solve (gtsv) give.
+u_n = c u_0, the corner pair (0, dim-1); it is held once, as bands, and
+every solve and count reads only the bands.  The lowest eigenvalues come
+from a restarted block Krylov iteration on k + 2 vectors: K - sigma M is
+factored once by LAPACK's pivoted dgttrf below the spectrum, with node 0
+split off for the corner, and each step is one dgttrs call.  Where an
+eigenvalue lies below -1, K + M is factored as well: a very negative b1
+puts sigma far below every other eigenvalue, and steps at -1 separate
+those.  After a Rayleigh-Ritz step each eigenvalue is the Rayleigh
+quotient of its Ritz vector with the energy in difference form,
+n sum (x_{i+1} - x_i)^2 + b1 x_0^2, which subtracts nothing, so it is
+exact to rounding.  Each is certified by inertia counts on the bands: by
+Sylvester's law the number of eigenvalues below sigma is the number of
+negative eigenvalues of K - sigma M, which LAPACK's Sturm count (dstebz)
+and one pivoted tridiagonal solve (gtsv) give, with node 0's Schur
+complement taken from row sums that cancel nothing.
 """
 from __future__ import annotations
 
@@ -21,9 +30,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
-from scipy.linalg.lapack import dgtsv, dstebz
+import scipy.linalg
+from scipy.linalg.lapack import dgeqp3, dgtsv, dgttrf, dgttrs, dorgqr, dstebz
 
 from .numerics import DomainError, FactorizationError, SearchError, reject_nonfinite
 from .interval import BoundaryCondition
@@ -52,13 +60,16 @@ class Bands(NamedTuple):
     off: np.ndarray
     corner: Optional[float]
 
-    def csc(self) -> scipy.sparse.csc_matrix:
-        d, e, dim = self.diag, self.off, self.diag.size
-        if self.corner is None:
-            return scipy.sparse.diags([e, d, e], [-1, 0, 1], format="csc")
-        corner = [self.corner]
-        return scipy.sparse.diags([corner, e, d, e, corner], [1 - dim, -1, 0, 1, dim - 1],
-                                  format="csc")
+    def dot(self, X: np.ndarray) -> np.ndarray:
+        """The product with a vector or a block X of dim rows."""
+        d, e = (self.diag, self.off) if X.ndim == 1 else (self.diag[:, None], self.off[:, None])
+        Y = d * X
+        Y[:-1] += e * X[1:]
+        Y[1:] += e * X[:-1]
+        if self.corner is not None:
+            Y[0] += self.corner * X[-1]
+            Y[-1] += self.corner * X[0]
+        return Y
 
 
 @dataclass(frozen=True)
@@ -111,15 +122,24 @@ def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
     return DiscreteOperator(n=n, bc=bc, K=K, M=M)
 
 
-def count_below(op: DiscreteOperator, sigma: float) -> int:
-    """Number of eigenvalues of (K, M) below sigma.
+def _fold(op: DiscreteOperator) -> tuple:
+    """(c, b1) of the fold u_n = c u_0."""
+    return complex(op.bc.c).real, op.bc.b1
 
-    That is the negative inertia of A = K - sigma M, formed band by band.
-    Node 0 is split off: the rest T of A is tridiagonal, so In(A) = In(T) +
-    In(a - r^T T^-1 r) (Haynsworth), with LAPACK's Sturm count (dstebz: the
-    eigenvalues of T in (-inf, 0], its pivots guarded by pivmin) for In(T)
-    and its partially pivoted tridiagonal solve (gtsv) for T^-1 r; row 0 =
-    [a, r^T] carries the fold's corner entry."""
+
+def _split(op: DiscreteOperator, sigma: float) -> tuple:
+    """A = K - sigma M, formed band by band, with node 0 split off.
+
+    Returns (T_diag, T_off, r, a, s, w): the tridiagonal rest T of A, node
+    0's coupling r to it (which carries the fold's corner entry), and a, s,
+    w such that a - r^T T^-1 s is the Schur complement of T and
+    T^-1 r = T^-1 s - w.
+    Under Dirichlet that is a = A_00, s = r, w = 0.  After a fold, w is the
+    linear vector w_i = 1 + (c - 1) i/n, which satisfies the fold, and
+    (a, s) are the row sums A w: exactly, K w = (b1 + (c - 1)^2) e_0, so
+    A w = that minus sigma M w, a sum in which nothing cancels; the Schur
+    complement is then exact to rounding, however close sigma is to an
+    eigenvalue."""
     K, M = op.K, op.M
     with np.errstate(over="ignore", invalid="ignore"):
         d = K.diag - sigma * M.diag
@@ -131,26 +151,167 @@ def count_below(op: DiscreteOperator, sigma: float) -> int:
                           "an entry or a squared off-diagonal entry that is not finite")
     r = np.zeros(op.dim - 1)
     r[0] = e[0]
-    if corner is not None:
-        r[-1] = corner
-    T_off = e[1:]
-    y, info = dgtsv(T_off, d[1:], T_off, r)[3:]
+    if corner is None:
+        return d[1:], e[1:], r, d[0], r, 0.0
+    r[-1] = corner
+    c, b1 = _fold(op)
+    w = 1.0 + (c - 1.0) * np.arange(op.dim) / op.n
+    s = -sigma * M.dot(w)
+    s[0] += b1 + (c - 1.0) ** 2
+    return d[1:], e[1:], r, s[0], s[1:], w[1:]
+
+
+def count_below(op: DiscreteOperator, sigma: float) -> int:
+    """Number of eigenvalues of (K, M) below sigma.
+
+    That is the negative inertia of A = K - sigma M.  Node 0 is split off:
+    the rest T of A is tridiagonal, so In(A) = In(T) + In(a - r^T T^-1 r)
+    (Haynsworth), with LAPACK's Sturm count (dstebz: the eigenvalues of T in
+    (-inf, 0], its pivots guarded by pivmin) for In(T) and its partially
+    pivoted tridiagonal solve (gtsv) for the Schur complement, taken in the
+    row-sum form of `_split`."""
+    T_diag, T_off, r, a, s, _ = _split(op, sigma)
+    y, info = dgtsv(T_off, T_diag, T_off, s)[3:]
     if info > 0:
         raise FactorizationError(f"n = {op.n}, sigma = {sigma!r}: singular matrix")
-    m, _, _, _, info = dstebz(d[1:], T_off, 1, -math.inf, 0.0, 0, 0, 1e300, "B")
+    m, _, _, _, info = dstebz(T_diag, T_off, 1, -math.inf, 0.0, 0, 0, 1e300, "B")
     if info != 0:
         raise FactorizationError(f"n = {op.n}, sigma = {sigma!r}: dstebz info = {info}")
-    return m + int(d[0] - r @ y < 0.0)
+    return m + int(a - r @ y < 0.0)
+
+
+def _inverse(op: DiscreteOperator, sigma: float):
+    """X -> (K - sigma M)^-1 X for blocks X: T of `_split` factored once by
+    LAPACK's pivoted dgttrf, one dgttrs call per block, and node 0 from the
+    Schur complement."""
+    T_diag, T_off, r, a, s, w = _split(op, sigma)
+    factors = dgttrf(T_off, T_diag, T_off)
+    if factors[-1] > 0:
+        raise FactorizationError(f"n = {op.n}, sigma = {sigma!r}: singular matrix")
+    factors = factors[:-1]
+    y = dgttrs(*factors, s)[0]
+    schur = a - r @ y
+    z = y - w  # T^-1 r
+    r0, r1 = r[0], r[-1]
+
+    def solve(B: np.ndarray) -> np.ndarray:
+        U = dgttrs(*factors, B[1:])[0]
+        X = np.empty_like(B)
+        X[0] = (B[0] - r0 * U[0] - r1 * U[-1]) / schur
+        X[1:] = U - z[:, None] * X[0]
+        return X
+
+    return solve
+
+
+def _slopes(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
+    """n (x_{i+1} - x_i) on each element for every column x of X, with the
+    end values the constraint gives: x_0 = x_n = 0, or x_n = c x_0."""
+    if op.K.corner is None:
+        edge = np.zeros((1, X.shape[1]))
+        return op.n * np.diff(np.concatenate((edge, X, edge)), axis=0)
+    c, _ = _fold(op)
+    return op.n * np.diff(np.concatenate((X, c * X[:1])), axis=0)
+
+
+def _stiffness(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
+    """K X in difference form: each row is a difference of two slopes (plus,
+    after a fold, b1 x_0 at node 0), so a smooth x loses nothing to the
+    cancellation that the bands' K x suffers."""
+    D = _slopes(op, X)
+    if op.K.corner is None:
+        return D[:-1] - D[1:]
+    c, b1 = _fold(op)
+    KX = np.empty_like(X)
+    KX[1:] = D[:-1] - D[1:]
+    KX[0] = c * D[-1] - D[0] + b1 * X[0]
+    return KX
+
+
+def _quotients(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
+    """Rayleigh quotient of each column of X, with the energy in difference
+    form, n sum (x_{i+1} - x_i)^2 + b1 x_0^2, over x^T M x."""
+    D = _slopes(op, X)
+    energy = (D * D).sum(axis=0) / op.n
+    if op.K.corner is not None:
+        energy += _fold(op)[1] * X[0] ** 2
+    return energy / (X * op.M.dot(X)).sum(axis=0)
+
+
+def _start(op: DiscreteOperator, p: int) -> np.ndarray:
+    """The first p Chebyshev polynomials on [0, 1], at the nodes."""
+    offset = 1 if op.K.corner is None else 0
+    x = (np.arange(op.dim) + offset) / op.n
+    return np.cos(np.outer(np.arccos(2.0 * x - 1.0), np.arange(p)))
+
+
+def _ritz(op: DiscreteOperator, k: int, poles: tuple) -> np.ndarray:
+    """k Ritz vectors of (K, M) for its k lowest eigenvalues.
+
+    Restarted block Krylov on p = k + 2 vectors X: a cycle extends X by
+    blocks Op X, Op^2 X, ... up to 4p columns, where Op = (K - pole M)^-1 M
+    takes the poles in turn.  Each new block is orthogonalized against the
+    basis (classical Gram-Schmidt, twice) and orthonormalized by
+    column-pivoted QR, which drops directions below 1e-12 of the block's
+    size, so a block shrinks as its directions converge.  A Rayleigh-Ritz
+    step on (K, M) then gives the next X.  The quotient error of a Ritz
+    vector x with residual r = K x - rho M x is about
+    r^T (K - poles[0] M)^-1 r, and the cycles stop when that is below
+    eps max(1, |rho|) for each of the k, when the basis spans an invariant
+    subspace or the space, or when a cycle no longer halves the largest
+    error."""
+    solves = [_inverse(op, pole) for pole in poles]
+    dim, M = op.dim, op.M
+    p = min(k + 2, dim)
+    width = min(dim, 4 * p)
+    X = _start(op, p)
+    last = math.inf
+    while True:
+        V = np.empty((dim, width), order="F")
+        MV = np.empty_like(V)
+        V[:, :p] = np.linalg.qr(X)[0]
+        MV[:, :p] = M.dot(V[:, :p])
+        lo = b = step = 0
+        m = p
+        while m < width:
+            W = solves[step % len(solves)](MV[:, lo:m])
+            step += 1
+            scale = np.abs(W).max()
+            for _ in range(2):
+                W -= V[:, :m] @ (V[:, :m].T @ W)
+            qr, _, tau, _, _ = dgeqp3(W)
+            b = min(int(np.count_nonzero(np.abs(np.diagonal(qr)) > 1e-12 * scale)), width - m)
+            if b == 0:
+                break
+            V[:, m:m + b] = dorgqr(qr[:, :b], tau[:b])[0]
+            MV[:, m:m + b] = M.dot(V[:, m:m + b])
+            lo, m = m, m + b
+        V, MV = V[:, :m], MV[:, :m]
+        KV = _stiffness(op, V)
+        try:
+            theta, S = scipy.linalg.eigh(V.T @ KV, V.T @ MV, subset_by_index=[0, p - 1],
+                                         check_finite=False)
+        except np.linalg.LinAlgError as error:
+            raise FactorizationError(f"n = {op.n}, bc = {op.bc}: the Krylov basis lost its "
+                                     f"rank ({error})") from None
+        X = V @ S
+        R = KV @ S[:, :k] - (MV @ S[:, :k]) * theta[:k]
+        err = (R * solves[0](R)).sum(axis=0) / np.maximum(1.0, np.abs(theta[:k]))
+        if err.max() <= np.finfo(float).eps or b == 0 or m == dim or err.max() > 0.5 * last:
+            return X[:, :k]
+        last = err.max()
 
 
 def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     """k smallest generalized eigenvalues of (K, M), ascending.
 
-    One shift-invert Lanczos solve below the spectrum, from a fixed start
-    vector so that equal calls give equal results; the shift is stepped
-    down until no eigenvalue lies below it.  Each eigenvalue lambda_j is
-    then enclosed by inertia counts: at most j - 1 eigenvalues lie below
-    lambda_j - delta and at least j below lambda_j + delta."""
+    The shift sigma is stepped down from -1 until no eigenvalue lies below
+    it; `_ritz` then gives k Ritz vectors from a fixed start, so that equal
+    calls give equal results, with poles sigma and, if sigma moved, -1.
+    Each eigenvalue is the Rayleigh quotient of its vector with the energy
+    in difference form, and each, lambda_j, is enclosed by inertia counts:
+    at most j - 1 eigenvalues lie below lambda_j - delta and at least j
+    below lambda_j + delta."""
     if not 1 <= k < op.dim:
         raise DomainError(f"k = {k}: need 1 <= k < dim = {op.dim}")
     sigma = -1.0
@@ -158,9 +319,8 @@ def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     # float range long before sigma does, and count_below raises there
     while count_below(op, sigma) > 0:
         sigma *= 4.0
-    v0 = np.random.default_rng(0).standard_normal(op.dim)
-    w = np.sort(scipy.sparse.linalg.eigsh(op.K.csc(), k, M=op.M.csc(), sigma=sigma,
-                                          v0=v0, return_eigenvectors=False))
+    poles = (sigma,) if sigma == -1.0 else (sigma, -1.0)
+    w = np.sort(_quotients(op, _ritz(op, k, poles)))
     for j, lam in enumerate(w.tolist(), start=1):
         delta = 1e-9 * max(1.0, abs(lam))
         below, above = count_below(op, lam - delta), count_below(op, lam + delta)

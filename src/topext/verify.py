@@ -225,7 +225,7 @@ def case_krein(t_grid) -> Report:
     return Report(
         case="krein-bound", example="interval", m_S=PI2, passed=ok and agree == pairs,
         detail="krein_bound(pi^2, t) <= bottom(S_t) <= t on the positive t grid; "
-               f"mu_criterion(T_t, mu) == (bottom >= mu) on {agree} of {pairs} (t, mu)")
+               f"is_top_extension(T_t, q_mu) == (bottom >= mu) on {agree} of {pairs} (t, mu)")
 
 
 def cases_point() -> List[Report]:

@@ -1,6 +1,9 @@
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from topext.interval import BoundaryCondition
 from topext.numerics import DomainError, FactorizationError, SearchError, integrate
 
 PI2 = math.pi ** 2
+SRC = str(Path(fem.__file__).resolve().parents[1])
 
 BCS = (BoundaryCondition.dirichlet(), Periodic(), AntiPeriodicRobin(-4.0),
        AntiPeriodicRobin(50.0), BoundaryCondition.one_dim_a(0.5, 0.3))
@@ -30,8 +34,18 @@ def free_matrices(n):
     return K, M
 
 
+def dense_bands(B):
+    """The dense matrix that fem.Bands holds: diagonal, off-diagonal and,
+    after a fold, the corner pair (0, dim-1), (dim-1, 0)."""
+    A = np.diag(B.diag) + np.diag(B.off, 1) + np.diag(B.off, -1)
+    if B.corner is not None:
+        A[0, -1] += B.corner
+        A[-1, 0] += B.corner
+    return A
+
+
 def dense(op):
-    return op.K.csc().toarray(), op.M.csc().toarray()
+    return dense_bands(op.K), dense_bands(op.M)
 
 
 def sturm_count(d, e):
@@ -52,13 +66,14 @@ def sturm_count(d, e):
     return count
 
 
-def sparse_count_below(op, sigma):
-    """Reference count on the CSC matrices: A = K - sigma M as a sparse
-    matrix, node 0 split off, T^-1 r from a pivoted banded solve, and the
-    Sturm count above for T."""
-    A = op.K.csc() - sigma * op.M.csc()
+def banded_count_below(op, sigma):
+    """Reference count on the dense matrices: A = K - sigma M, node 0 split
+    off, T^-1 r from a pivoted banded solve, and the Sturm count above for
+    T."""
+    K, M = dense(op)
+    A = K - sigma * M
     d, e = A.diagonal(), A.diagonal(1)
-    r = A[:, 0].toarray().ravel()[1:]
+    r = A[1:, 0]
     T = np.zeros((3, op.dim - 1))
     T[0, 1:], T[1], T[2, :-1] = e[1:], d[1:], e[1:]
     y = scipy.linalg.solve_banded((1, 1), T, r, check_finite=False)
@@ -136,14 +151,23 @@ class TestAssembly:
         assert np.array_equal(K_op, K[1:-1, 1:-1])
         assert np.array_equal(M_op, M[1:-1, 1:-1])
 
-    def test_sparse_csc(self):
+    def test_bands_dot_equals_dense_product(self):
+        X = np.random.default_rng(1).standard_normal((64, 3))
         for bc in BCS:
-            op = fem.assemble(64, bc)
-            K, M = op.K.csc(), op.M.csc()
-            assert K.format == M.format == "csc", bc
-            # tridiagonal, plus the corner pair after a fold
-            corner = 0 if bc.variant == "dirichlet" else 2
-            assert K.nnz == M.nnz == 3 * op.dim - 2 + corner, bc
+            op = fem.assemble(64 + (bc.variant == "dirichlet"), bc)  # dim = 64
+            for B in (op.K, op.M):
+                A = dense_bands(B)
+                for Y in (X, X[:, 0]):  # a block and a vector
+                    bound = 1e-14 * (np.abs(A) @ np.abs(Y))
+                    assert np.all(np.abs(B.dot(Y) - A @ Y) <= bound), bc
+
+    def test_import_loads_no_sparse_module(self):
+        # the oracle reads the bands alone: neither scipy.sparse nor ARPACK
+        code = ("import sys; import topext.fem; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "[]"
 
     def test_exactly_symmetric(self):
         for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.one_dim_a(0.5, 0.3),
@@ -176,7 +200,7 @@ class TestFormConsistency:
         gp = lambda t: (-math.pi * math.sin(math.pi * t)
                         + 0.9 * math.pi * math.cos(3.0 * math.pi * t))
         u = np.array([g(t) for t in x[:-1]])  # folded: last node = -first
-        discrete = u @ (op.K.csc() @ u)
+        discrete = u @ op.K.dot(u)
         # n panels of 2 nodes: the panels align with the elements
         exact = integrate(lambda t: gp(t) ** 2, 0.0, 1.0, n, 2) + b * g(0.0) ** 2
         assert abs(discrete - exact) < 1e-3 * max(1.0, abs(exact))
@@ -187,7 +211,7 @@ class TestFormConsistency:
         op = fem.assemble(n, AntiPeriodicRobin(b))
         x = np.linspace(0.0, 1.0, n + 1)
         u = 1.0 - 2.0 * x[:-1]
-        assert abs(u @ (op.K.csc() @ u) - (4.0 + b)) < 1e-10
+        assert abs(u @ op.K.dot(u) - (4.0 + b)) < 1e-10
 
 
 class TestDiscreteBottoms:
@@ -227,7 +251,7 @@ class TestDiscreteBottoms:
                 fem.lowest_eigenvalues(op, k)
 
     def test_k_equal_to_the_dimension(self):
-        # the Lanczos solve needs k < dim
+        # the API asks for k < dim
         op = fem.assemble(16, Periodic())
         with pytest.raises(DomainError, match=f"k = {op.dim}: need 1 <= k < dim = {op.dim}"):
             fem.lowest_eigenvalues(op, op.dim)
@@ -244,6 +268,30 @@ class TestSparseSolver:
             w = fem.lowest_eigenvalues(op, k)
             assert np.all(np.diff(w) >= 0.0)
             assert np.allclose(w, ref[:k], rtol=1e-9, atol=1e-9), (k, w - ref[:k])
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_strongly_negative_robin_excited_levels(self, n):
+        # the bottom, below -1e5, sets the shift far below the other
+        # eigenvalues; the solver also steps at -1 to separate them
+        op = fem.assemble(n, BoundaryCondition.one_dim_a(-1000.0, -0.5))
+        ref = scipy.linalg.eigh(*dense(op), eigvals_only=True)
+        w = fem.lowest_eigenvalues(op, 4)
+        assert ref[0] < -1e5 and 0.0 < ref[1]
+        assert np.allclose(w, ref[:4], rtol=1e-9, atol=1e-9), w - ref[:4]
+
+    def test_extreme_robin_parameter_is_solved_or_named(self):
+        # at b1 = -1e12 node 0's stiffness is 1e12 against 2n elsewhere; the
+        # solver may fail there, but only with an error that names the input
+        op = fem.assemble(512, BoundaryCondition.one_dim_a(-1e12, -1.0))
+        try:
+            w = fem.lowest_eigenvalues(op, 4)
+        except (SearchError, FactorizationError) as error:
+            assert str(error).startswith("n = 512, bc = "), error
+        else:
+            for j, lam in enumerate(w, start=1):
+                delta = 1e-9 * max(1.0, abs(lam))
+                assert fem.count_below(op, lam - delta) <= j - 1
+                assert fem.count_below(op, lam + delta) >= j
 
     @pytest.mark.parametrize("bc", BCS, ids=str)
     def test_count_equals_dense_count(self, bc):
@@ -266,11 +314,11 @@ class TestSparseSolver:
         assert len(near) >= 8
         for sigma in split + near:
             count = fem.count_below(op, sigma)
-            assert count == sparse_count_below(op, sigma) == np.sum(ref < sigma), sigma
+            assert count == banded_count_below(op, sigma) == np.sum(ref < sigma), sigma
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(bc=CONDITIONS, n=st.integers(8, 300), data=st.data())
-    def test_count_equals_sparse_and_dense_counts(self, bc, n, data):
+    def test_count_equals_banded_and_dense_counts(self, bc, n, data):
         # sigma lies between eigenvalues j - 1 and j (or outside the spectrum)
         op = fem.assemble(n, bc)
         ref = scipy.linalg.eigh(*dense(op), eigvals_only=True)
@@ -281,7 +329,7 @@ class TestSparseSolver:
         sigma = lo + u * (hi - lo)
         assume(np.min(np.abs(ref - sigma)) > 1e-9 * max(1.0, abs(sigma)))
         count = fem.count_below(op, sigma)
-        assert count == sparse_count_below(op, sigma) == np.sum(ref < sigma)
+        assert count == banded_count_below(op, sigma) == np.sum(ref < sigma)
 
     @pytest.mark.parametrize("n", [64, 504])
     def test_count_around_double_periodic_eigenvalues(self, n):
@@ -343,6 +391,42 @@ class TestSparseSolver:
                             lambda op, sigma: max(0, true_count(op, sigma) - 1))
         with pytest.raises(SearchError, match=r"n = 100, .*b1=0\.5.*eigenvalue 1 = "):
             fem.lowest_eigenvalues(op, 2)
+
+
+# every n in 16..40, and the large grids where the parent solver's
+# certificate failed for Periodic() or AntiPeriodicRobin(-4)
+SAMPLED_GRIDS = list(range(16, 41)) + [1024, 1500, 1555, 1800, 1950, 2000, 2050, 2100, 2400,
+                                       3000, 4000, 4096]
+
+
+def closed_form_p1_bottom(n):
+    """Lowest P1 eigenvalue of -u'' under Dirichlet (and anti-periodic b = 0)."""
+    return 6.0 * n * n * 2.0 * math.sin(math.pi / (2 * n)) ** 2 / (2.0 + math.cos(math.pi / n))
+
+
+class TestExactBottoms:
+    @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), Periodic(),
+                                    AntiPeriodicRobin(0.0), AntiPeriodicRobin(-4.0)], ids=str)
+    def test_certified_at_every_sampled_grid(self, bc):
+        # discrete_bottom raises SearchError unless the counts enclose it
+        for n in SAMPLED_GRIDS:
+            fem.discrete_bottom(n, bc)
+
+    def test_dirichlet_bottom_is_the_closed_form(self):
+        n = 2000
+        exact = closed_form_p1_bottom(n)
+        for bc in (BoundaryCondition.dirichlet(), AntiPeriodicRobin(0.0)):
+            assert abs(fem.discrete_bottom(n, bc) - exact) <= 4 * math.ulp(exact), bc
+
+    def test_zero_bottoms_are_zero_to_rounding(self):
+        # at n = 4096 the stored K is exact and K 1 = 0, K (1 - 2x) = -4 e_0
+        n = 4096
+        assert abs(fem.discrete_bottom(n, Periodic())) <= 1e-14
+        assert abs(fem.discrete_bottom(n, AntiPeriodicRobin(-4.0))) <= 1e-14
+        for bc in (Periodic(), AntiPeriodicRobin(-4.0)):
+            op = fem.assemble(n, bc)
+            assert fem.count_below(op, -1e-12) == 0, bc
+            assert fem.count_below(op, 1e-12) == 1, bc
 
 
 class TestVerifyInterval:
