@@ -8,20 +8,21 @@ integration by parts.  Discrete bottoms over-estimate the analytic ones
 
 The pencil (K, M) is symmetric tridiagonal plus, after the fold
 u_n = c u_0, the corner pair (0, dim-1); it is held once, as bands, and
-every solve and count reads only the bands.  The lowest eigenvalues come
-from a restarted block Krylov iteration on k + 2 vectors: K - sigma M is
-factored once by LAPACK's pivoted dgttrf below the spectrum, with node 0
-split off for the corner, and each step is one dgttrs call.  Where an
-eigenvalue lies below -1, K + M is factored as well: a very negative b1
-puts sigma far below every other eigenvalue, and steps at -1 separate
-those.  After a Rayleigh-Ritz step each eigenvalue is the Rayleigh
-quotient of its Ritz vector with the energy in difference form,
-n sum (x_{i+1} - x_i)^2 + b1 x_0^2, which subtracts nothing, so it is
-exact to rounding.  Each is certified by inertia counts on the bands: by
-Sylvester's law the number of eigenvalues below sigma is the number of
-negative eigenvalues of K - sigma M, which LAPACK's Sturm count (dstebz)
-and one pivoted tridiagonal solve (gtsv) give, with node 0's Schur
-complement taken from row sums that cancel nothing.
+every solve and count reads only the bands.  Each shift sigma is factored
+once, and that factorization serves both the inertia count and the solves:
+K - sigma M is formed band by band, node 0 is split off for the corner, the
+tridiagonal rest is factored by LAPACK's pivoted dgttrf, and node 0's Schur
+complement is taken from row sums that cancel nothing.  By Sylvester's law
+the number of eigenvalues below sigma is the negative inertia of
+K - sigma M: LAPACK's Sturm count (dstebz) on the rest plus the Schur
+complement's sign.  The lowest eigenvalues come from a restarted block
+Krylov iteration on k + 2 vectors, one dgttrs call per step, at the shift
+below the spectrum that a step-down from -1 ends on; where an eigenvalue
+lies below -1, steps alternate with the shift at -1, since a very negative
+b1 puts sigma far below every other eigenvalue.  After a Rayleigh-Ritz step
+each eigenvalue is the Rayleigh quotient of its Ritz vector with the energy
+in difference form, n sum (x_{i+1} - x_i)^2 + b1 x_0^2, which subtracts
+nothing, so it is exact to rounding, and two inertia counts certify it.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgeqp3, dgtsv, dgttrf, dgttrs, dorgqr, dstebz
+from scipy.linalg.lapack import dgeqp3, dgttrf, dgttrs, dorgqr, dstebz
 
 from .numerics import DomainError, FactorizationError, SearchError, reject_nonfinite
 from .interval import BoundaryCondition
@@ -127,81 +128,72 @@ def _fold(op: DiscreteOperator) -> tuple:
     return complex(op.bc.c).real, op.bc.b1
 
 
-def _split(op: DiscreteOperator, sigma: float) -> tuple:
-    """A = K - sigma M, formed band by band, with node 0 split off.
+class _Shift:
+    """A = K - sigma M, formed band by band, split and factored once.
 
-    Returns (T_diag, T_off, r, a, s, w): the tridiagonal rest T of A, node
-    0's coupling r to it (which carries the fold's corner entry), and a, s,
-    w such that a - r^T T^-1 s is the Schur complement of T and
-    T^-1 r = T^-1 s - w.
-    Under Dirichlet that is a = A_00, s = r, w = 0.  After a fold, w is the
-    linear vector w_i = 1 + (c - 1) i/n, which satisfies the fold, and
-    (a, s) are the row sums A w: exactly, K w = (b1 + (c - 1)^2) e_0, so
-    A w = that minus sigma M w, a sum in which nothing cancels; the Schur
-    complement is then exact to rounding, however close sigma is to an
-    eigenvalue."""
-    K, M = op.K, op.M
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = K.diag - sigma * M.diag
-        e = K.off - sigma * M.off
-        finite = np.isfinite(d).all() and np.isfinite(e * e).all()
-    corner = None if K.corner is None else K.corner - sigma * M.corner
-    if not (finite and (corner is None or math.isfinite(corner))):
-        raise DomainError(f"n = {op.n}, bc = {op.bc}, sigma = {sigma!r}: K - sigma M has "
-                          "an entry or a squared off-diagonal entry that is not finite")
-    r = np.zeros(op.dim - 1)
-    r[0] = e[0]
-    if corner is None:
-        return d[1:], e[1:], r, d[0], r, 0.0
-    r[-1] = corner
-    c, b1 = _fold(op)
-    w = 1.0 + (c - 1.0) * np.arange(op.dim) / op.n
-    s = -sigma * M.dot(w)
-    s[0] += b1 + (c - 1.0) ** 2
-    return d[1:], e[1:], r, s[0], s[1:], w[1:]
+    Node 0 is split off: the rest T of A is tridiagonal, factored by LAPACK's
+    pivoted dgttrf, and r is node 0's coupling to it (which carries the
+    fold's corner entry).  The Schur complement of T is a - r^T T^-1 s, with
+    T^-1 r = T^-1 s - w.  Under Dirichlet that is a = A_00, s = r, w = 0.
+    After a fold, w is the linear vector w_i = 1 + (c - 1) i/n, which
+    satisfies the fold, and (a, s) are the row sums A w: exactly,
+    K w = (b1 + (c - 1)^2) e_0, so A w = that minus sigma M w, a sum in which
+    nothing cancels; the Schur complement is then exact to rounding, however
+    close sigma is to an eigenvalue."""
+
+    def __init__(self, op: DiscreteOperator, sigma: float):
+        K, M = op.K, op.M
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = K.diag - sigma * M.diag
+            e = K.off - sigma * M.off
+            finite = np.isfinite(d).all() and np.isfinite(e * e).all()
+        corner = None if K.corner is None else K.corner - sigma * M.corner
+        if not (finite and (corner is None or math.isfinite(corner))):
+            raise DomainError(f"n = {op.n}, bc = {op.bc}, sigma = {sigma!r}: K - sigma M has "
+                              "an entry or a squared off-diagonal entry that is not finite")
+        self.n, self.sigma, self.T = op.n, sigma, (d[1:], e[1:])
+        r = np.zeros(op.dim - 1)
+        r[0] = e[0]
+        if corner is None:
+            a, s, w = d[0], r, 0.0
+        else:
+            r[-1] = corner
+            c, b1 = _fold(op)
+            w = 1.0 + (c - 1.0) * np.arange(op.dim) / op.n
+            s = -sigma * M.dot(w)
+            s[0] += b1 + (c - 1.0) ** 2
+            a, s, w = s[0], s[1:], w[1:]
+        *self.factors, info = dgttrf(e[1:], d[1:], e[1:])
+        if info > 0:
+            raise FactorizationError(f"n = {op.n}, sigma = {sigma!r}: singular matrix")
+        y = dgttrs(*self.factors, s)[0]
+        self.schur = a - r @ y
+        self.z = y - w  # T^-1 r
+        self.r0, self.r1 = r[0], r[-1]
+
+    def count(self) -> int:
+        """The negative inertia of A: In(A) = In(T) + In(schur) (Haynsworth),
+        with LAPACK's Sturm count (dstebz: the eigenvalues of T in (-inf, 0],
+        its pivots guarded by pivmin) for In(T)."""
+        m, _, _, _, info = dstebz(*self.T, 1, -math.inf, 0.0, 0, 0, 1e300, "B")
+        if info != 0:
+            raise FactorizationError(f"n = {self.n}, sigma = {self.sigma!r}: dstebz info = {info}")
+        return m + int(self.schur < 0.0)
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """A^-1 B for a block B: one dgttrs call, and node 0 from the Schur
+        complement."""
+        U = dgttrs(*self.factors, B[1:])[0]
+        X = np.empty_like(B)
+        X[0] = (B[0] - self.r0 * U[0] - self.r1 * U[-1]) / self.schur
+        X[1:] = U - self.z[:, None] * X[0]
+        return X
 
 
 def count_below(op: DiscreteOperator, sigma: float) -> int:
-    """Number of eigenvalues of (K, M) below sigma.
-
-    That is the negative inertia of A = K - sigma M.  Node 0 is split off:
-    the rest T of A is tridiagonal, so In(A) = In(T) + In(a - r^T T^-1 r)
-    (Haynsworth), with LAPACK's Sturm count (dstebz: the eigenvalues of T in
-    (-inf, 0], its pivots guarded by pivmin) for In(T) and its partially
-    pivoted tridiagonal solve (gtsv) for the Schur complement, taken in the
-    row-sum form of `_split`."""
-    T_diag, T_off, r, a, s, _ = _split(op, sigma)
-    y, info = dgtsv(T_off, T_diag, T_off, s)[3:]
-    if info > 0:
-        raise FactorizationError(f"n = {op.n}, sigma = {sigma!r}: singular matrix")
-    m, _, _, _, info = dstebz(T_diag, T_off, 1, -math.inf, 0.0, 0, 0, 1e300, "B")
-    if info != 0:
-        raise FactorizationError(f"n = {op.n}, sigma = {sigma!r}: dstebz info = {info}")
-    return m + int(a - r @ y < 0.0)
-
-
-def _inverse(op: DiscreteOperator, sigma: float):
-    """X -> (K - sigma M)^-1 X for blocks X: T of `_split` factored once by
-    LAPACK's pivoted dgttrf, one dgttrs call per block, and node 0 from the
-    Schur complement."""
-    T_diag, T_off, r, a, s, w = _split(op, sigma)
-    factors = dgttrf(T_off, T_diag, T_off)
-    if factors[-1] > 0:
-        raise FactorizationError(f"n = {op.n}, sigma = {sigma!r}: singular matrix")
-    factors = factors[:-1]
-    y = dgttrs(*factors, s)[0]
-    schur = a - r @ y
-    z = y - w  # T^-1 r
-    r0, r1 = r[0], r[-1]
-
-    def solve(B: np.ndarray) -> np.ndarray:
-        U = dgttrs(*factors, B[1:])[0]
-        X = np.empty_like(B)
-        X[0] = (B[0] - r0 * U[0] - r1 * U[-1]) / schur
-        X[1:] = U - z[:, None] * X[0]
-        return X
-
-    return solve
+    """Number of eigenvalues of (K, M) below sigma: by Sylvester's law, the
+    negative inertia of K - sigma M."""
+    return _Shift(op, sigma).count()
 
 
 def _slopes(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
@@ -248,10 +240,11 @@ def _start(op: DiscreteOperator, p: int) -> np.ndarray:
 def _ritz(op: DiscreteOperator, k: int, poles: tuple) -> np.ndarray:
     """k Ritz vectors of (K, M) for its k lowest eigenvalues.
 
+    `poles` is a pair of factored `_Shift`s, which may be one shift twice.
     Restarted block Krylov on p = k + 2 vectors X: a cycle extends X by
     blocks Op X, Op^2 X, ... up to 4p columns, where Op = (K - pole M)^-1 M
-    takes the poles in turn.  Each new block is orthogonalized against the
-    basis (classical Gram-Schmidt, twice) and orthonormalized by
+    takes the two poles in turn.  Each new block is orthogonalized against
+    the basis (classical Gram-Schmidt, twice) and orthonormalized by
     column-pivoted QR, which drops directions below 1e-12 of the block's
     size, so a block shrinks as its directions converge.  A Rayleigh-Ritz
     step on (K, M) then gives the next X.  The quotient error of a Ritz
@@ -260,7 +253,6 @@ def _ritz(op: DiscreteOperator, k: int, poles: tuple) -> np.ndarray:
     eps max(1, |rho|) for each of the k, when the basis spans an invariant
     subspace or the space, or when a cycle no longer halves the largest
     error."""
-    solves = [_inverse(op, pole) for pole in poles]
     dim, M = op.dim, op.M
     p = min(k + 2, dim)
     width = min(dim, 4 * p)
@@ -274,7 +266,7 @@ def _ritz(op: DiscreteOperator, k: int, poles: tuple) -> np.ndarray:
         lo = b = step = 0
         m = p
         while m < width:
-            W = solves[step % len(solves)](MV[:, lo:m])
+            W = poles[step % 2].solve(MV[:, lo:m])
             step += 1
             scale = np.abs(W).max()
             for _ in range(2):
@@ -296,7 +288,7 @@ def _ritz(op: DiscreteOperator, k: int, poles: tuple) -> np.ndarray:
                                      f"rank ({error})") from None
         X = V @ S
         R = KV @ S[:, :k] - (MV @ S[:, :k]) * theta[:k]
-        err = (R * solves[0](R)).sum(axis=0) / np.maximum(1.0, np.abs(theta[:k]))
+        err = (R * poles[0].solve(R)).sum(axis=0) / np.maximum(1.0, np.abs(theta[:k]))
         if err.max() <= np.finfo(float).eps or b == 0 or m == dim or err.max() > 0.5 * last:
             return X[:, :k]
         last = err.max()
@@ -306,21 +298,22 @@ def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     """k smallest generalized eigenvalues of (K, M), ascending.
 
     The shift sigma is stepped down from -1 until no eigenvalue lies below
-    it; `_ritz` then gives k Ritz vectors from a fixed start, so that equal
-    calls give equal results, with poles sigma and, if sigma moved, -1.
+    it, each shift factored once for its count; `_ritz` then gives k Ritz
+    vectors from a fixed start, so that equal calls give equal results, with
+    the last shift and the one at -1 as poles (one shift twice if sigma
+    never moved).
     Each eigenvalue is the Rayleigh quotient of its vector with the energy
     in difference form, and each, lambda_j, is enclosed by inertia counts:
     at most j - 1 eigenvalues lie below lambda_j - delta and at least j
     below lambda_j + delta."""
     if not 1 <= k < op.dim:
         raise DomainError(f"k = {k}: need 1 <= k < dim = {op.dim}")
-    sigma = -1.0
+    first = shift = _Shift(op, -1.0)
     # ends at a finite shift: the square of sigma M's off-diagonal leaves the
-    # float range long before sigma does, and count_below raises there
-    while count_below(op, sigma) > 0:
-        sigma *= 4.0
-    poles = (sigma,) if sigma == -1.0 else (sigma, -1.0)
-    w = np.sort(_quotients(op, _ritz(op, k, poles)))
+    # float range long before sigma does, and _Shift raises there
+    while shift.count() > 0:
+        shift = _Shift(op, 4.0 * shift.sigma)
+    w = np.sort(_quotients(op, _ritz(op, k, (shift, first))))
     for j, lam in enumerate(w.tolist(), start=1):
         delta = 1e-9 * max(1.0, abs(lam))
         below, above = count_below(op, lam - delta), count_below(op, lam + delta)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import assume, given, settings, strategies as st
 
 from topext import fem, interval
@@ -368,6 +369,30 @@ class TestSparseSolver:
         fem.discrete_bottom(700, BoundaryCondition.dirichlet())
         assert fem.discrete_bottom(2000, bc) == first
         assert fem.discrete_bottom(2000, bc) == first
+
+    @pytest.mark.parametrize("n, bc, k, eliminations", [
+        (2000, AntiPeriodicRobin(-1.0), 1, 3),
+        (400, AntiPeriodicRobin(-10.0), 3, 10),
+        (500, Periodic(), 6, 13),
+    ], ids=["bottom", "robin-step-down", "periodic"])
+    def test_each_shift_is_eliminated_once(self, monkeypatch, n, bc, k, eliminations):
+        # one tridiagonal elimination (a dgttrf) per shift serves its count
+        # and its solves: the step-down's shifts -1, -4, ... (the last and
+        # the first are the Krylov poles), then two counts per certified
+        # eigenvalue
+        op = fem.assemble(n, bc)
+        shifts = 1
+        while fem.count_below(op, -4.0 ** (shifts - 1)) > 0:
+            shifts += 1
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scipy.linalg.lapack.dgttrf(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "dgttrf", counted)
+        fem.lowest_eigenvalues(op, k)
+        assert len(calls) == shifts + 2 * k == eliminations
 
     def test_singular_block_is_a_factorization_error(self):
         # K = M = 0: the block T on nodes 1..dim-1 has no pivot at all

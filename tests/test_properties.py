@@ -1,10 +1,14 @@
-"""Property tests of the root finders over wide finite input ranges, and
-of the classification records of the three examples."""
+"""Property tests of the root finders over wide finite input ranges, of
+the classification records of the three examples, and of the CLI on
+extreme inputs."""
+import contextlib
+import io
+import json
 import math
 
 from hypothesis import assume, given, settings, strategies as st
 
-from topext import interval, kvb, point
+from topext import cli, interval, kvb, point
 from topext.coulomb import alpha_threshold, classify_coulomb, coulomb_eigenvalue, script_F
 from topext.numerics import DomainError
 
@@ -127,3 +131,46 @@ def test_mu_criterion_matches_bottom(t, mu):
     # band left out is wider than that
     assume(abs(bottom - mu) > 1e-8 * max(1.0, abs(mu)))
     assert kvb.is_top_extension(T, kvb.build_q(model, mu)) == (bottom >= mu)
+
+
+# zeros, subnormals, the edges of the float range, NaN and the infinities
+EXTREME = (0.0, -0.0, 1e-320, -1e-320, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0, 12.0, 3.5,
+           -4.0, 1e8, -1e8, 1e15, -1e15, 1e154, -1e154, 1e300, -1e300, 1.7e308, -1.7e308,
+           math.nan, math.inf, -math.inf)
+# the float flags of every query command; verify, secular and the tqs take
+# grids, ranges and term counts, which their own tests cover
+QUERIES = [(command, subcommand, [argument[0] for argument in arguments if argument[1] is float])
+           for command, subcommand, arguments, _ in cli.COMMANDS
+           if command != "verify" and subcommand not in ("secular", "tq")]
+
+
+@st.composite
+def query_argvs(draw):
+    command, subcommand, flags = draw(st.sampled_from(QUERIES))
+    values = [draw(st.sampled_from(EXTREME)) for _ in flags]
+    return [command, subcommand, *(f"{flag}={value!r}" for flag, value in zip(flags, values)),
+            "--format", "records"]
+
+
+def floats_of(record):
+    for value in record.values():
+        yield from value if isinstance(value, list) else [value]
+
+
+# 2,132 argvs in all; a sample of them keeps the test near 2 s
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=query_argvs())
+def test_cli_answers_or_names_its_input(argv):
+    # exit 0 with finite fields, apart from echoed inputs (alpha = inf is the
+    # Friedrichs extension), or exit 1 with an error that names a flag
+    names = [arg[2:arg.index("=")] for arg in argv if "=" in arg]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 0:
+        record = json.loads(out.getvalue())
+        computed = {key: value for key, value in record.items() if key not in names}
+        assert all(math.isfinite(x) for x in floats_of(computed) if isinstance(x, float)), record
+    else:
+        assert (code, out.getvalue()) == (1, ""), err.getvalue()
+        assert any(err.getvalue().startswith(f"error: {name} ") for name in names), err.getvalue()
