@@ -1,6 +1,7 @@
 """Self-contained numerical kernels.
 
-Bracketed bisection, composite quadrature, the digamma function, and a
+A bracketed root finder (Brent's method, safeguarded by bisection),
+composite quadrature, the digamma function, and a
 positive-semidefiniteness test.
 Everything here is a pure function of its inputs.
 """
@@ -63,27 +64,65 @@ class Bracket:
 
 
 def bisect(f: Callable[[float], float], b: Bracket, tol: float = 1e-12) -> float:
-    """Root of f inside the bracket, located to an interval of width <= tol."""
+    """Root of f inside the bracket by Brent's method, safeguarded by bisection.
+
+    Each step is an inverse quadratic or secant step inside the bracket, or
+    a bisection step when those fail to shrink it (Brent 1973, ch. 4; the
+    `zeroin` of Forsythe, Malcolm and Moler).  The search stops once the
+    bracket is at most tol wide, or holds no float between its ends, and
+    returns the secant point of that bracket: a sign change of f lies within
+    tol of it, or within one float spacing when tol is below that spacing.
+    """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    lo, hi = b.lo, b.hi
-    # f keeps the sign of f(lo) at every lo; a sign test, not f_lo * f_mid,
-    # which underflows to 0 once both values are below about 1e-154
-    lo_negative = b.f_lo < 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval no longer resolvable in floats
-            break
-        f_mid = f(mid)
-        if not math.isfinite(f_mid):
-            raise EvaluationError(f"f({mid}) is not finite")
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == lo_negative:
-            lo = mid
+    # x is the estimate and c the other end of the bracket, with |f(x)| <=
+    # |f(c)|; a is the previous x.  Sides are chosen by signs, not by f_x *
+    # f_c, which underflows to 0 once both values are below about 1e-154
+    a, f_a = b.lo, b.f_lo
+    x, f_x = b.hi, b.f_hi
+    c, f_c = a, f_a
+    step = last_step = x - a
+    while True:
+        if abs(f_c) < abs(f_x):
+            a, f_a = x, f_x
+            x, f_x, c, f_c = c, f_c, x, f_x
+        half = 0.5 * (c - x)
+        if abs(c - x) <= tol or x + half in (x, c):  # no float left between x and c
+            # the secant point of the final bracket; f_x and f_c differ in sign
+            return x + f_x / (f_x - f_c) * (c - x)
+        if abs(last_step) >= 0.5 * tol and abs(f_a) > abs(f_x):
+            # the step p/q: secant through a and x, or inverse quadratic
+            # interpolation through a, x and c
+            s = f_x / f_a
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = f_a / f_c, f_x / f_c
+                p = s * (2.0 * half * q * (q - r) - (x - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # taken only inside the bracket and shorter than half the step
+            # before last; NaN or infinite p and q fail the test and bisect
+            if 2.0 * p < min(3.0 * half * q - abs(0.5 * tol * q), abs(last_step * q)):
+                last_step, step = step, p / q
+            else:
+                last_step = step = half
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            last_step = step = half
+        a, f_a = x, f_x
+        x += step if abs(step) > 0.5 * tol else math.copysign(0.5 * tol, half)
+        if x == a:  # a step below the float spacing
+            x = math.nextafter(a, c)
+        f_x = f(x)
+        if not math.isfinite(f_x):
+            raise EvaluationError(f"f({x}) is not finite")
+        if f_x == 0.0:
+            return x
+        if (f_x < 0.0) == (f_c < 0.0):
+            c, f_c = a, f_a
+            step = last_step = x - a
 
 
 @lru_cache(maxsize=32)

@@ -125,9 +125,10 @@ class TestEigenvalue:
             coulomb_eigenvalue(1.0, -1e200)
 
     def test_residual_error_names_its_inputs(self):
-        # the terms of F_nu are ~1e6 here: a residual of 1e-10 is below their resolution
-        with pytest.raises(SearchError, match="nu = 1000000.0, alpha = 0.0"):
-            coulomb_eigenvalue(1e6, 0.0)
+        # the terms of F_nu are ~4e8 here, so its values are multiples of about
+        # 6e-8: none lies within 1e-10 of alpha = 0.1
+        with pytest.raises(SearchError, match="nu = 100000000.0, alpha = 0.1"):
+            coulomb_eigenvalue(1e8, 0.1)
 
 
 class TestClassify:

@@ -129,9 +129,37 @@ class TestSpectrum:
             for root in spec.secular_roots:
                 assert abs(interval.secular_F(root) - t) < 1e-7 * max(1.0, abs(t))
 
+    @pytest.mark.parametrize("t", [12.0, 9.0, 0.0, -50.0, 200.0, -288.0])
+    def test_roots_within_4_ulps_of_50_digit_roots(self, t):
+        mpmath = pytest.importorskip("mpmath")
+
+        def F(lam):  # 12 - 6 sqrt(lambda) cot(sqrt(lambda)/2), analytic at 0
+            if lam > 0:
+                s = mpmath.sqrt(lam)
+                return 12 - 6 * s * mpmath.cot(s / 2)
+            kappa = mpmath.sqrt(-lam)
+            return 12 - 6 * kappa * mpmath.coth(kappa / 2) if lam < 0 else mpmath.mpf(0)
+
+        roots = interval.spectrum(t, cutoff=1000.0).secular_roots
+        assert len(roots) == 5
+        with mpmath.workdps(50):
+            for root in roots:
+                exact = mpmath.findroot(lambda lam: F(lam) - t, mpmath.mpf(root))
+                if exact == 0:
+                    assert root == 0.0
+                else:
+                    assert abs(root - exact) <= 4 * math.ulp(float(exact)), (root, exact)
+
+    def test_roots_at_tq_are_the_sin_family(self):
+        # at t = t_q = 12, F = t reads cot(sqrt(lambda)/2) = 0
+        spec = interval.spectrum(12.0, cutoff=1000.0)
+        assert len(spec.secular_roots) == len(spec.sin_family) == 5
+        for root, value in zip(spec.secular_roots, spec.sin_family):
+            assert abs(root - value) <= math.ulp(value), (root, value)
+
     def test_bottom_relative_accuracy_near_zero(self):
-        # F(lambda) = t inverts to lambda = t - t^2/60 + O(t^3); the
-        # bisection stops at 1e-12 |t| below |t| = 1 (it was 1e-12 absolute)
+        # F(lambda) = t inverts to lambda = t - t^2/60 + O(t^3); the root
+        # search stops at 1e-12 |t| below |t| = 1 (it was 1e-12 absolute)
         for t in (-1e-12, -5.78e-167):
             expected = t - t * t / 60.0
             assert abs(interval.spectrum(t).bottom - expected) <= 1e-12 * abs(expected), t

@@ -56,6 +56,59 @@ class TestBisect:
         assert f(root - 1e-10) * f(root + 1e-10) < 0
 
 
+def root_of(f, lo, hi, tol):
+    """The root bisect returns on [lo, hi], and the evaluations of f it made."""
+    evaluations = 0
+
+    def counted(x):
+        nonlocal evaluations
+        evaluations += 1
+        return f(x)
+    return bisect(counted, Bracket(lo, hi, f(lo), f(hi)), tol=tol), evaluations
+
+
+def assert_sign_change_near(f, x, tol):
+    # f (increasing or decreasing) changes sign within tol of x, or within
+    # one float spacing of x when tol is below it
+    w = max(tol, math.ulp(x))
+    assert f(x) == 0.0 or (f(x - w) < 0.0) != (f(x + w) < 0.0), (x, tol)
+
+
+class TestBrent:
+    def test_step_function(self):
+        # no interpolation step helps: the safeguard bisects
+        f = lambda x: -1.0 if x < 0.3 else 1.0
+        root, _ = root_of(f, 0.0, 1.0, 1e-12)
+        assert_sign_change_near(f, root, 1e-12)
+
+    def test_high_order_root(self):
+        # Brent's slow case: interpolation creeps toward a root of order 9
+        f = lambda x: (x - 0.3) ** 9
+        root, _ = root_of(f, 0.0, 1.0, 1e-12)
+        assert_sign_change_near(f, root, 1e-12)
+
+    def test_tiny_values_of_both_signs(self):
+        for scale in (1e-200, -1e-200):
+            f = lambda x: scale * math.sin(3.0 * x - 1.0)
+            root, _ = root_of(f, 0.0, 1.0, 1e-12)
+            assert_sign_change_near(f, root, 1e-12)
+            assert abs(root - 1.0 / 3.0) < 1e-12
+
+    def test_tol_below_float_spacing_terminates(self):
+        for f in (lambda x: x - 0.3, lambda x: -1.0 if x < 0.3 else 1.0,
+                  lambda x: (x - 0.3) ** 9):
+            root, _ = root_of(f, 0.0, 1.0, 1e-300)
+            assert_sign_change_near(f, root, 1e-300)
+
+    def test_simple_roots_in_few_evaluations(self):
+        for f, expected in ((lambda x: x * x - 2.0, math.sqrt(2.0)),
+                            (math.cos, 0.5 * math.pi)):
+            root, evaluations = root_of(f, 1.0, 2.0, 1e-12)
+            assert_sign_change_near(f, root, 1e-12)
+            assert abs(root - expected) < 1e-12
+            assert evaluations <= 10
+
+
 class TestIntegrate:
     def test_paper_norm(self):
         val = integrate(lambda x: (1.0 - 2.0 * x) ** 2, 0.0, 1.0, 64, 10)
