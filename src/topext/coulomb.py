@@ -11,7 +11,7 @@ F_nu(E) = alpha built from the digamma function.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -48,14 +48,18 @@ def script_F(nu: float, E: float) -> float:
     ) - s / (4.0 * math.pi)
 
 
-def count_sign_changes(nu: float, alpha: float) -> int:
-    """Sign changes of F_nu(-s^2) - alpha on a geometric grid of 200 points
-    per decade in s = sqrt(-E) over [1e-6, 1e4], i.e. E in [-1e8, -1e-12]."""
+def count_sign_changes(nu: float, alphas: Sequence[float]) -> List[int]:
+    """Sign changes of F_nu(-s^2) - alpha, for each alpha, on a geometric grid
+    of 200 points per decade in s = sqrt(-E) over [1e-6, 1e4], i.e. E in
+    [-1e8, -1e-12].  F_nu is evaluated on the grid once for all alphas."""
     grid = np.geomspace(1e-6, 1e4, 2001)
-    values = np.array([script_F(nu, -s * s) - alpha for s in grid])
-    signs = np.sign(values)
-    nonzero = signs[signs != 0]
-    return int(np.sum(nonzero[1:] * nonzero[:-1] < 0))
+    F = np.array([script_F(nu, -s * s) for s in grid])
+    counts = []
+    for alpha in alphas:
+        signs = np.sign(F - alpha)
+        nonzero = signs[signs != 0]
+        counts.append(int(np.sum(nonzero[1:] * nonzero[:-1] < 0)))
+    return counts
 
 
 def coulomb_eigenvalue(nu: float, alpha: float) -> Optional[float]:

@@ -14,7 +14,8 @@ on V = ran(S_F - m(S))^{1/2} \\cap ker S*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -81,6 +82,18 @@ class DeficiencyModel:
         """Gram matrix of the V basis vectors."""
         return self.V_basis.T @ self.gram @ self.V_basis
 
+    @cached_property
+    def V_pinv(self) -> np.ndarray:
+        """Pseudo-inverse of V_basis, computed once per model."""
+        pinv = np.linalg.pinv(self.V_basis)
+        pinv.flags.writeable = False
+        return pinv
+
+    @cached_property
+    def T_q(self) -> "TqResult":
+        """q at mu = m(S), built once per model with read-only arrays."""
+        return _assemble_q(self, np.array(self.m_S, dtype=float))
+
 
 @dataclass(frozen=True)
 class ExtensionParameter:
@@ -102,8 +115,11 @@ class ExtensionParameter:
         D = np.atleast_2d(np.asarray(self.domain_basis, dtype=float))
         T = np.atleast_2d(np.asarray(self.T_matrix, dtype=float))
         _reject_nonfinite(domain_basis=D, T_matrix=T)
-        k = D.shape[1]
-        if np.linalg.matrix_rank(D) < k:
+        # np.linalg.matrix_rank(D) < k on one SVD: k > m, or the least
+        # singular value is at most matrix_rank's tolerance S_max max(m, k) eps
+        m, k = D.shape
+        s = np.linalg.svd(D, compute_uv=False)
+        if k > m or (k and s[-1] <= s[0] * (max(m, k) * np.finfo(float).eps)):
             raise ModelError("domain_basis columns must be linearly independent")
         if T.shape != (k, k):
             raise ModelError("T_matrix size must match the domain basis")
@@ -147,59 +163,85 @@ class Classification:
 
 @dataclass(frozen=True)
 class TqResult:
-    """The form q_mu on its domain V, the scalar level when dim V = 1, and
-    mu when it lies below m(S) (None for T_q = q_{m(S)})."""
+    """The form q_mu on its domain V: q_matrix is (k, k) for one level and
+    (m, k, k) for a family of m levels.  t_q_scalar is the scalar level when
+    dim V = 1 and one level was asked for; mu is that level when it lies below
+    m(S) (None for T_q = q_{m(S)}), or the array of the m levels of a family.
+    V_pinv is the pseudo-inverse of domain_basis."""
 
     domain_basis: np.ndarray
     q_matrix: np.ndarray
+    m_S: float
+    V_pinv: np.ndarray
     t_q_scalar: Optional[float] = None
-    mu: Optional[float] = None
+    mu: Union[None, float, np.ndarray] = None
 
 
-def _express(target: np.ndarray, basis: np.ndarray):
-    """Least-squares coefficients of target columns in the basis columns,
-    plus whether the span inclusion holds within TOL."""
-    C, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    residual = np.linalg.norm(basis @ C - target)
-    return C, residual <= TOL * max(1.0, np.linalg.norm(target))
-
-
-def build_q(model: DeficiencyModel, mu: Optional[float] = None) -> TqResult:
+def build_q(model: DeficiencyModel, mu: Union[None, float, np.ndarray] = None) -> TqResult:
     """Assemble q_mu[v] = mu ||v||^2 + mu^2 <v, (S_F - mu)^{-1} v> on the V
-    basis.  mu defaults to m(S), where q_mu is T_q; errors out when V is
-    trivial or mu > m(S)."""
-    level = model.m_S if mu is None else mu
-    reject_nonfinite(mu=level)
-    if level > model.m_S:
-        raise DomainError(f"mu = {mu!r} exceeds m(S) = {model.m_S}")
+    basis, for one level mu or for each level of a 1-D array (a family of m
+    forms, one weighted_gram call per level).  mu defaults to m(S), where
+    q_mu is T_q, built once per model; errors out when V is trivial or a
+    level is non-finite or above m(S)."""
+    levels = np.array(model.m_S if mu is None else mu, dtype=float)
+    if levels.ndim > 1:
+        raise DomainError(f"mu has shape {levels.shape}; a level or a 1-D array "
+                          "of levels is required")
+    for level in levels.flat:
+        reject_nonfinite(mu=level)
+        if level > model.m_S:
+            raise DomainError(f"mu = {float(level)!r} exceeds m(S) = {model.m_S}")
+    if levels.ndim == 0 and levels == model.m_S:
+        return model.T_q
+    return _assemble_q(model, levels)
+
+
+def _assemble_q(model: DeficiencyModel, levels: np.ndarray) -> TqResult:
     Vb = model.V_basis
     if Vb.shape[1] == 0 or not Vb.any():
         raise CriterionViolatedError(
             "V is trivial: the Friedrichs extension is the only top extension")
     gram_V = model.gram_V
-    W = np.atleast_2d(np.asarray(model.weighted_gram(level), dtype=float))
-    q = level * gram_V + level ** 2 * W
-    q = 0.5 * (q + q.T)
-    t_q = float(q[0, 0] / gram_V[0, 0]) if Vb.shape[1] == 1 else None
-    return TqResult(Vb, q, t_q, None if level == model.m_S else level)
+    W = np.empty(levels.shape + gram_V.shape)
+    for i, level in np.ndenumerate(levels):
+        W[i] = model.weighted_gram(float(level))
+    mu = levels[..., None, None]
+    q = mu * gram_V + mu ** 2 * W
+    q = 0.5 * (q + q.swapaxes(-1, -2))
+    basis = Vb.view()
+    for array in (levels, q, basis):
+        array.flags.writeable = False
+    t_q = float(q[0, 0] / gram_V[0, 0]) if q.ndim == 2 and Vb.shape[1] == 1 else None
+    level = levels if levels.ndim else (None if levels == model.m_S else float(levels))
+    return TqResult(basis, q, model.m_S, model.V_pinv, t_q, level)
 
 
-def is_top_extension(T: ExtensionParameter, tq: TqResult) -> bool:
+def _decided(top: np.ndarray) -> Union[bool, np.ndarray]:
+    """A Python bool for one form, the bool array for a family."""
+    return bool(top) if np.ndim(top) == 0 else top
+
+
+def is_top_extension(T: ExtensionParameter, tq: TqResult) -> Union[bool, np.ndarray]:
     """T >= q on D(T): T is Friedrichs, or D(T) lies in V and T - q is PSD
-    there (boundary included).  D(T) outside V gives False for T_q, and a
-    CriterionViolatedError for q_mu, mu < m(S), undefined off V."""
+    there (boundary included), to within TOL max(||T||, ||q_D||).  For a
+    family of m forms it decides each member alone and returns a bool array
+    of shape (m,).  D(T) outside V gives False when every level is m(S), and
+    a CriterionViolatedError when one is below m(S): q_mu is undefined off V."""
+    q = tq.q_matrix
     if T.is_friedrichs:
-        return True
-    if T.domain_basis.shape[0] != tq.domain_basis.shape[0]:
+        return _decided(np.ones(q.shape[:-2], dtype=bool))
+    D = T.domain_basis
+    if D.shape[0] != tq.domain_basis.shape[0]:
         raise ModelError("parameter and q-form use different ambient bases")
-    C, included = _express(T.domain_basis, tq.domain_basis)
-    if not included:
-        if tq.mu is None:
-            return False
+    C = tq.V_pinv @ D  # least-squares coefficients of D(T) in the V basis
+    if np.linalg.norm(tq.domain_basis @ C - D) > TOL * max(1.0, np.linalg.norm(D)):
+        levels = tq.m_S if tq.mu is None else tq.mu
+        if np.all(levels == tq.m_S):
+            return _decided(np.zeros(q.shape[:-2], dtype=bool))
         raise CriterionViolatedError("D(T) is not in V; weighted_gram is undefined on it")
-    q_D = C.T @ tq.q_matrix @ C
-    scale = max(np.linalg.norm(T.T_matrix), np.linalg.norm(q_D))
-    return is_psd(T.T_matrix - q_D + TOL * scale * np.eye(len(q_D)))
+    q_D = C.T @ q @ C
+    scale = np.maximum(np.linalg.norm(T.T_matrix), np.linalg.norm(q_D, axis=(-2, -1)))
+    return is_psd(T.T_matrix - q_D + (TOL * scale)[..., None, None] * np.eye(D.shape[1]))
 
 
 def krein_bound(m_S: float, m_T: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -188,22 +188,27 @@ def digamma(z: float) -> float:
 
 def _as_symmetric(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
+        raise DomainError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise DomainError("matrix has a non-finite entry")
-    atol = 1e-12 * (1.0 + np.abs(A).max(initial=0.0))
-    if np.abs(A - A.T).max(initial=0.0) > atol:
+    At = A.swapaxes(-1, -2)
+    atol = 1e-12 * (1.0 + np.abs(A).max(axis=(-2, -1), initial=0.0))
+    if (np.abs(A - At).max(axis=(-2, -1), initial=0.0) > atol).any():
         raise DomainError("matrix is not symmetric")
-    return 0.5 * (A + A.T)
+    return 0.5 * (A + At)
 
 
-def is_psd(A: np.ndarray) -> bool:
+def is_psd(A: np.ndarray) -> Union[bool, np.ndarray]:
     """True iff the least eigenvalue of A is >= 0.
 
-    A must be finite and symmetric to within 1e-12 (1 + max |A_ij|)
+    A is one matrix, or a stack of shape (..., k, k), for which the result
+    is a bool array of shape (...) with one verdict per member.  Each member
+    must be finite and symmetric to within 1e-12 (1 + its max |A_ij|)
     entrywise; otherwise DomainError.  An empty matrix is PSD."""
     A = _as_symmetric(A)
-    if A.size == 0:
-        return True
-    return bool(np.linalg.eigvalsh(A)[0] >= 0.0)
+    if A.shape[-1] == 0:
+        top = np.ones(A.shape[:-2], dtype=bool)
+    else:
+        top = np.linalg.eigvalsh(A)[..., 0] >= 0.0
+    return bool(top) if np.ndim(top) == 0 else top

@@ -76,15 +76,14 @@ class TestEigenvalue:
 
     def test_unique_sign_change(self):
         for nu in NUS:
-            for d in (0.1, 1.0):
-                assert count_sign_changes(nu, alpha_threshold(nu) - d) == 1
+            assert count_sign_changes(nu, [alpha_threshold(nu) - d for d in (0.1, 1.0)]) == [1, 1]
 
     def test_none_at_or_above_threshold(self):
         for nu in NUS:
             thr = alpha_threshold(nu)
             assert coulomb_eigenvalue(nu, thr) is None
             assert coulomb_eigenvalue(nu, thr + 0.5) is None
-            assert count_sign_changes(nu, thr + 0.5) == 0
+            assert count_sign_changes(nu, [thr + 0.5]) == [0]
 
     def test_monotone_in_alpha(self):
         # the eigenvalue rises towards 0 as alpha approaches the threshold

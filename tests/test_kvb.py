@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topext import interval, point, verify
 from topext.kvb import (
@@ -72,6 +73,33 @@ class TestExtensionParameter:
     def test_rank_deficient_domain(self):
         with pytest.raises(ModelError):
             ExtensionParameter(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
+
+    def test_independence_is_matrix_rank_below_k(self):
+        # random, rank-deficient, near-deficient and wide (k > m) bases, at
+        # scales from 1e-100 to 1e100
+        rng = np.random.default_rng(11)
+        bases = []
+        for m in range(1, 5):
+            for k in range(1, 6):
+                A = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-100.0, 100.0)
+                bases.append(A)
+                if k > 1:
+                    B = A.copy()
+                    B[:, -1] = B[:, :-1] @ rng.standard_normal(k - 1)
+                    bases += [B, np.hstack([A[:, :-1], A[:, :1]])]
+                    for rel in (1e-17, 1e-16, 1e-15, 1e-14, 1e-12):
+                        bases.append(B + rel * np.abs(B).max() * rng.standard_normal((m, k)))
+        decisions = set()
+        for D in bases:
+            deficient = bool(np.linalg.matrix_rank(D) < D.shape[1])
+            try:
+                ExtensionParameter(D, np.eye(D.shape[1]))
+                rejected = False
+            except ModelError:
+                rejected = True
+            assert rejected == deficient, D
+            decisions.add((D.shape[1] > D.shape[0], deficient))
+        assert decisions == {(False, False), (False, True), (True, True)}
 
 
 NAN, INF = float("nan"), float("inf")
@@ -213,8 +241,31 @@ class TestOneForm:
     def test_mu_above_m_S_or_nonfinite(self):
         model = toy_model(m_S=1.0)
         for mu in (1.0 + 1e-9, NAN, -INF):
-            with pytest.raises(DomainError, match="mu"):
-                build_q(model, mu)
+            for levels in (mu, [0.5, mu], np.array([mu, 1.0])):
+                with pytest.raises(DomainError, match="mu"):
+                    build_q(model, levels)
+        with pytest.raises(DomainError, match="mu"):
+            build_q(model, [[0.5]])
+
+    def test_t_q_is_built_once_per_model(self):
+        levels = []
+        model = DeficiencyModel(m_S=1.0, gram=np.eye(1), V_basis=np.eye(1),
+                                weighted_gram=lambda mu: levels.append(mu) or np.eye(1))
+        tq = build_q(model)
+        assert build_q(model) is tq is build_q(model, 1.0)
+        assert levels == [1.0]
+        for array in (tq.q_matrix, tq.domain_basis, tq.V_pinv):
+            assert not array.flags.writeable
+
+    def test_family_is_its_levels(self):
+        model = interval.deficiency_model()
+        mus = [-3.0, 0.0, 0.5, model.m_S]
+        family = build_q(model, np.array(mus))
+        assert family.q_matrix.shape == (4, 1, 1)
+        assert family.mu.tolist() == mus
+        assert family.t_q_scalar is None
+        for mu, q in zip(mus, family.q_matrix):
+            assert q.tolist() == build_q(model, mu).q_matrix.tolist()
 
     def test_domain_outside_V(self):
         g = np.eye(2)
@@ -237,6 +288,53 @@ class TestOneForm:
         monkeypatch.setattr(interval, "deficiency_model", lambda terms=10_000: wrapped)
         assert verify.case_krein(verify.interval_t_grid_bottoms).passed
         assert len(mus) == len(set(mus)) == 40
+
+
+CRITERION = settings(derandomize=True, deadline=None, max_examples=150)
+FAMILY_MODELS = {"interval": interval.deficiency_model,
+                 "point": point.deficiency_model_point, "toy": toy_model}
+
+
+@st.composite
+def criterion_families(draw):
+    """(model, T, mus): a model, 1-D levels that may repeat m(S), and a
+    scalar parameter T = t on V, sometimes with t within 1e-8 of one
+    level's threshold t_q(mu), sometimes (interval) on the constants,
+    which are not in V, and sometimes Friedrichs."""
+    model = FAMILY_MODELS[draw(st.sampled_from(sorted(FAMILY_MODELS)))]()
+    m_S = model.m_S
+    mus = draw(st.lists(st.one_of(st.just(m_S), st.floats(-1e3, m_S, exclude_max=True)),
+                        max_size=5))
+    t = draw(st.floats(-1e3, 1e3))
+    if mus and draw(st.booleans()):
+        t = build_q(model, mus[draw(st.integers(0, len(mus) - 1))]).t_q_scalar
+        t += draw(st.sampled_from((-1e-8, 0.0, 1e-8)))
+    domain = model.V_basis
+    if model is interval.deficiency_model() and draw(st.booleans()):
+        domain = np.array([[1.0], [0.0]])  # the constants: not in V
+    if draw(st.integers(0, 9)) == 9:
+        return model, ExtensionParameter.friedrichs(), mus
+    return model, ExtensionParameter.scalar(t, domain, model.gram), mus
+
+
+@CRITERION
+@given(family=criterion_families())
+def test_stacked_criterion_is_the_scalar_one_per_level(family):
+    model, T, mus = family
+    stacked = build_q(model, np.array(mus, dtype=float))
+    scalars = [build_q(model, mu) for mu in mus]
+    try:
+        expected = [is_top_extension(T, q) for q in scalars]
+    except CriterionViolatedError:
+        # D(T) is not in V and some level is below m(S)
+        assert any(mu < model.m_S for mu in mus)
+        with pytest.raises(CriterionViolatedError):
+            is_top_extension(T, stacked)
+        return
+    top = is_top_extension(T, stacked)
+    assert top.dtype == bool and top.shape == (len(mus),)
+    assert top.tolist() == expected
+    assert all(type(x) is bool for x in expected)
 
 
 class TestKreinBound:

@@ -225,5 +225,39 @@ class TestIsPsd:
                 is_psd(A)
 
     def test_not_square(self):
-        with pytest.raises(DomainError, match="square"):
-            is_psd(np.zeros((2, 3)))
+        for shape in ((2, 3), (4, 2, 3), (3,), ()):
+            with pytest.raises(DomainError, match="square"):
+                is_psd(np.zeros(shape))
+
+    def test_stack_is_each_member(self):
+        rng = np.random.default_rng(21)
+        for k in (1, 2, 5):
+            A = rng.standard_normal((40, k, k))
+            A = 0.5 * (A + A.swapaxes(-1, -2)) + rng.uniform(-1.0, 3.0, (40, 1, 1)) * np.eye(k)
+            top = is_psd(A)
+            assert top.dtype == bool and top.shape == (40,)
+            assert top.tolist() == [is_psd(member) for member in A]
+            assert 0 < top.sum() < 40
+            assert is_psd(A.reshape(4, 10, k, k)).tolist() == top.reshape(4, 10).tolist()
+
+    def test_symmetry_rule_per_member(self):
+        # each member is held to its own max |A_ij|: a small member beside a
+        # large one gets no looser tolerance
+        big = 1e6 * np.eye(2)
+        small = np.array([[1.0, 0.0], [2e-12, 1.0]])  # 2e-12 = 1e-12 (1 + 1): the edge
+        assert is_psd(np.stack([big, small])).tolist() == [True, True]
+        small[1, 0] = np.nextafter(2e-12, 1.0)
+        with pytest.raises(DomainError, match="not symmetric"):
+            is_psd(np.stack([big, small]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_one_nonfinite_member_is_a_domain_error(self, bad):
+        A = np.stack([np.eye(2)] * 5)
+        A[3, 1, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            is_psd(A)
+
+    def test_empty_stacks(self):
+        for shape in ((0, 3, 3), (0, 0, 0), (3, 0, 0)):
+            top = is_psd(np.zeros(shape))
+            assert top.dtype == bool and top.tolist() == [True] * shape[0]

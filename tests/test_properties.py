@@ -5,10 +5,11 @@ import contextlib
 import io
 import json
 import math
+import re
 
 from hypothesis import assume, given, settings, strategies as st
 
-from topext import cli, interval, kvb, point
+from topext import cli, interval, kvb, point, verify
 from topext.coulomb import alpha_threshold, classify_coulomb, coulomb_eigenvalue, script_F
 from topext.numerics import DomainError
 
@@ -140,40 +141,78 @@ EXTREME = (0.0, -0.0, 1e-320, -1e-320, 1e-300, -1e-300, 1e-8, -1e-8, 1.0, -1.0, 
 # log-uniform magnitudes of both signs, from the subnormals to 1e308
 LOG_UNIFORM = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
                         st.sampled_from((-1.0, 1.0)), st.floats(min_value=-323.0, max_value=308.0))
-# the float flags of every query command; verify, secular and the tqs take
-# grids, ranges and term counts, which their own tests cover
-QUERIES = [(command, subcommand, [argument[0] for argument in arguments if argument[1] is float])
-           for command, subcommand, arguments, _ in cli.COMMANDS
-           if command != "verify" and subcommand not in ("secular", "tq")]
+FLOATS = st.one_of(st.sampled_from(EXTREME), LOG_UNIFORM)
+# the other flags: term counts about the floor of 1 and the cap of 1,000,000,
+# bounded sample counts, and grids about verify's floor of 16 with a case
+# prefix or a junk string for --only
+VALUES = {
+    "--terms": st.one_of(st.sampled_from((0, -1, 2_000_000)), st.integers(1, 20_000)),
+    "--samples": st.integers(-2, 50),
+    "--grid": st.sampled_from((-1, 8, 15, 16, 17, 64)),
+    "--only": st.sampled_from([prefix for _, prefix, _ in verify.CASES] + ["no-such-case"]),
+}
+# every command but `point tq`, whose exit 1 reports its quadrature check on
+# the default tolerance; secular writes to stdout (no --out)
+COMMANDS = [([command] + ([subcommand] if subcommand else []),
+             [argument[0] for argument in arguments if argument[0] != "--out"])
+            for command, subcommand, arguments, _ in cli.COMMANDS
+            if (command, subcommand) != ("point", "tq")]
 
 
 @st.composite
-def query_argvs(draw):
-    command, subcommand, flags = draw(st.sampled_from(QUERIES))
-    values = [draw(st.one_of(st.sampled_from(EXTREME), LOG_UNIFORM)) for _ in flags]
-    return [command, subcommand, *(f"{flag}={value!r}" for flag, value in zip(flags, values)),
+def cli_argvs(draw):
+    words, flags = draw(st.sampled_from(COMMANDS))
+    values = [draw(VALUES.get(flag, FLOATS)) for flag in flags]
+    return [*words, *(f"{flag}={value}" for flag, value in zip(flags, values)),
             "--format", "records"]
+
+
+def printed_records(argv, text):
+    """The JSON records a run printed, or secular's CSV rows as records."""
+    lines = text.splitlines()
+    if argv[1] != "secular":
+        return [json.loads(line) for line in lines]
+    header = lines[0].split(",")
+    assert header == ["lambda", "F", "interval"], lines[0]
+    return [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
 
 
 def floats_of(record):
     for value in record.values():
-        yield from value if isinstance(value, list) else [value]
+        if isinstance(value, dict):
+            yield from floats_of(value)
+        else:
+            yield from value if isinstance(value, list) else [value]
 
 
-# the extreme values alone give 2,132 argvs; a sample keeps the test near 2 s
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(argv=query_argvs())
+# the extreme float values alone give 2,132 argvs of the query commands; a
+# sample keeps the test near 3 s
+@settings(derandomize=True, deadline=None, max_examples=450)
+@given(argv=cli_argvs())
 def test_cli_answers_or_names_its_input(argv):
     # exit 0 with finite fields, apart from echoed inputs (alpha = inf is the
-    # Friedrichs extension), or exit 1 with an error that names a flag
+    # Friedrichs extension); exit 1 with records only from verify, when a
+    # record failed; or exit 1 with an error, or 2 with a usage message,
+    # that names a flag
     names = [arg[2:arg.index("=")] for arg in argv if "=" in arg]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    if code == 0:
-        record = json.loads(out.getvalue())
-        computed = {key: value for key, value in record.items() if key not in names}
-        assert all(math.isfinite(x) for x in floats_of(computed) if isinstance(x, float)), record
+    if code == 0 or (code == 1 and out.getvalue()):
+        records = printed_records(argv, out.getvalue())
+        for record in records:
+            computed = {key: value for key, value in record.items() if key not in names}
+            assert all(math.isfinite(x) for x in floats_of(computed)
+                       if isinstance(x, float)), record
+        if argv[0] == "verify":
+            assert records and (code == 0) == all(r["passed"] for r in records)
+        else:
+            assert code == 0
     else:
-        assert (code, out.getvalue()) == (1, ""), err.getvalue()
-        assert any(err.getvalue().startswith(f"error: {name} ") for name in names), err.getvalue()
+        assert code in (1, 2) and out.getvalue() == "", err.getvalue()
+        if code == 1:
+            assert any(err.getvalue().startswith(f"error: {name} ") for name in names), \
+                err.getvalue()
+        else:
+            assert any(re.search(rf"\b{name}\b", err.getvalue()) for name in names), \
+                err.getvalue()

@@ -1,9 +1,10 @@
 """A verification pass does each piece of work once, and keeps none of it."""
+import dataclasses
 from collections import Counter
 
 import pytest
 
-from topext import fem, interval, verify
+from topext import coulomb, fem, interval, kvb, verify
 
 
 @pytest.mark.parametrize("grid, assemblies", [
@@ -36,3 +37,33 @@ def test_pass_does_each_piece_of_work_once(monkeypatch, grid, assemblies):
         assert set(assembled.values()) == {1}
         # 50 on the t grid, 7 classify conditions, 1 secular root
         assert len(spectra) == 58
+
+
+def test_family_cases_decide_in_stacked_calls(monkeypatch):
+    # krein-bound: one family of 40 forms, one is_top_extension call per t;
+    # coulomb-roots: F_nu on the probe grid once per nu for its two alphas
+    calls, levels = Counter(), []
+    model = interval.deficiency_model()
+    is_top_extension, count_sign_changes = kvb.is_top_extension, coulomb.count_sign_changes
+
+    def weighted_gram(mu):
+        levels.append(mu)
+        return model.weighted_gram(mu)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    wrapped = dataclasses.replace(model, weighted_gram=weighted_gram)
+    monkeypatch.setattr(interval, "deficiency_model", lambda terms=10_000: wrapped)
+    monkeypatch.setattr(kvb, "is_top_extension", counted("top", is_top_extension))
+    monkeypatch.setattr(coulomb, "count_sign_changes", counted("sign", count_sign_changes))
+    for _ in range(2):
+        calls.clear()
+        levels.clear()
+        for only in ("krein-bound", "coulomb-roots"):
+            assert [r.passed for r in verify.run(grid=200, only=only)] == [True]
+        assert calls == {"top": 50, "sign": 5}
+        assert len(levels) == len(set(levels)) == 40
