@@ -100,6 +100,8 @@ def _point_spectrum(a):
 
 
 def _point_tq(a) -> int:
+    if not 0.0 < a.quad_tol < math.inf:
+        raise DomainError(f"quad_tol = {a.quad_tol!r}; a finite tolerance > 0 is required")
     model = point.deficiency_model_point()
     tq = kvb.build_q(model)
     gram = float(model.gram[0, 0])

@@ -87,8 +87,7 @@ class DiscreteOperator:
         return self.K.diag.size
 
 
-def _constrained(n: int, bc: BoundaryCondition, c: float, diag: float, off: float,
-                 b1: float) -> Bands:
+def _constrained(n: int, bc: BoundaryCondition, diag: float, off: float, b1: float) -> Bands:
     """The matrix whose element matrices are [[diag, off], [off, diag]], on
     the nodes the constraint keeps: 1..n-1 for Dirichlet, 0..n-1 after the
     fold u_n = c u_0, which is P^T A P for P = [I; c e_0^T] and so changes
@@ -99,9 +98,9 @@ def _constrained(n: int, bc: BoundaryCondition, c: float, diag: float, off: floa
     if bc.variant == "dirichlet":
         return Bands(d[1:-1], e[1:-1], None)
     d, e = d[:-1], e[:-1]
-    d[0] += c * (c * diag)
+    d[0] += bc.c * (bc.c * diag)
     d[0] += b1
-    return Bands(d, e, c * off)
+    return Bands(d, e, bc.c * off)
 
 
 def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
@@ -112,20 +111,14 @@ def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
         raise UnsupportedBCError(f"unsupported constraint {bc!r}")
     if bc.variant not in ("dirichlet", "one-dim-a"):
         raise UnsupportedBCError(f"unknown boundary condition {bc.variant!r}")
-    if complex(bc.c).imag != 0:
+    if isinstance(bc.c, complex):
         raise UnsupportedBCError(f"complex coupling c = {bc.c!r} has no real symmetric form")
-    reject_nonfinite(b1=bc.b1)
-    c = complex(bc.c).real
+    reject_nonfinite(b1=bc.b1, c=bc.c)
     h = 1.0 / n
     # element matrices [[1, -1], [-1, 1]] / h and [[2, 1], [1, 2]] h / 6
-    K = _constrained(n, bc, c, 1.0 / h, -1.0 / h, bc.b1)
-    M = _constrained(n, bc, c, 2.0 * h / 6.0, h / 6.0, 0.0)
+    K = _constrained(n, bc, 1.0 / h, -1.0 / h, bc.b1)
+    M = _constrained(n, bc, 2.0 * h / 6.0, h / 6.0, 0.0)
     return DiscreteOperator(n=n, bc=bc, K=K, M=M)
-
-
-def _fold(op: DiscreteOperator) -> tuple:
-    """(c, b1) of the fold u_n = c u_0."""
-    return complex(op.bc.c).real, op.bc.b1
 
 
 class _Shift:
@@ -158,7 +151,7 @@ class _Shift:
             a, s, w = d[0], r, 0.0
         else:
             r[-1] = corner
-            c, b1 = _fold(op)
+            c, b1 = op.bc.c, op.bc.b1
             w = 1.0 + (c - 1.0) * np.arange(op.dim) / op.n
             s = -sigma * M.dot(w)
             s[0] += b1 + (c - 1.0) ** 2
@@ -202,8 +195,7 @@ def _slopes(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
     if op.K.corner is None:
         edge = np.zeros((1, X.shape[1]))
         return op.n * np.diff(np.concatenate((edge, X, edge)), axis=0)
-    c, _ = _fold(op)
-    return op.n * np.diff(np.concatenate((X, c * X[:1])), axis=0)
+    return op.n * np.diff(np.concatenate((X, op.bc.c * X[:1])), axis=0)
 
 
 def _stiffness(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
@@ -213,10 +205,9 @@ def _stiffness(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
     D = _slopes(op, X)
     if op.K.corner is None:
         return D[:-1] - D[1:]
-    c, b1 = _fold(op)
     KX = np.empty_like(X)
     KX[1:] = D[:-1] - D[1:]
-    KX[0] = c * D[-1] - D[0] + b1 * X[0]
+    KX[0] = op.bc.c * D[-1] - D[0] + op.bc.b1 * X[0]
     return KX
 
 
@@ -226,7 +217,7 @@ def _quotients(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
     D = _slopes(op, X)
     energy = (D * D).sum(axis=0) / op.n
     if op.K.corner is not None:
-        energy += _fold(op)[1] * X[0] ** 2
+        energy += op.bc.b1 * X[0] ** 2
     return energy / (X * op.M.dot(X)).sum(axis=0)
 
 

@@ -20,8 +20,7 @@ from typing import Callable, List
 import numpy as np
 
 # SearchError stays importable from here for callers that catch it by module
-from .numerics import (Bracket, DomainError, SearchError, bisect, integrate,
-                       reject_nonfinite)
+from .numerics import Bracket, DomainError, SearchError, bisect, reject_nonfinite
 from .kvb import Classification, DeficiencyModel
 
 M_S = math.pi ** 2
@@ -49,16 +48,16 @@ class BoundaryCondition:
     """The two self-adjointness classes for H^2(0,1) restrictions that the
     program uses.
 
-    one-dim-a: g'(0) = b1 g(0) + conj(c) g'(1),  g(1) = c g(0)
+    one-dim-a: g'(0) = b1 g(0) + c g'(1),  g(1) = c g(0),  c real
     dirichlet: g(0) = 0 = g(1)
     """
 
     variant: str
     b1: float = 0.0
-    c: complex = 0.0
+    c: float = 0.0
 
     @classmethod
-    def one_dim_a(cls, b1: float, c: complex) -> "BoundaryCondition":
+    def one_dim_a(cls, b1: float, c: float) -> "BoundaryCondition":
         return cls("one-dim-a", b1=b1, c=c)
 
     @classmethod
@@ -76,18 +75,9 @@ class IntervalSpectrum:
     bottom: float
 
 
-def resolvent_at_bottom() -> Callable[[float], float]:
+def resolvent_at_bottom() -> Callable[[np.ndarray], np.ndarray]:
     """(S_F - pi^2)^{-1} applied to 1 - 2x; the minimal-norm solution."""
-    return lambda x: (math.cos(math.pi * x) - 1.0 + 2.0 * x) / M_S
-
-
-def _gram_from_quadrature() -> np.ndarray:
-    basis = [lambda x: 1.0, lambda x: x]
-    g = np.empty((2, 2))
-    for i, ui in enumerate(basis):
-        for j, uj in enumerate(basis):
-            g[i, j] = integrate(lambda x: ui(x) * uj(x), 0.0, 1.0, 8, 10)
-    return 0.5 * (g + g.T)
+    return lambda x: (np.cos(math.pi * x) - 1.0 + 2.0 * x) / M_S
 
 
 @lru_cache(maxsize=8)
@@ -115,7 +105,7 @@ def deficiency_model(terms: int = 10_000) -> DeficiencyModel:
 
     return DeficiencyModel(
         m_S=M_S,
-        gram=_gram_from_quadrature(),
+        gram=np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]]),  # <x^i, x^j> on L^2(0, 1)
         V_basis=np.array([[1.0], [-2.0]]),
         weighted_gram=weighted_gram,
     )

@@ -130,10 +130,16 @@ def _leggauss(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def integrate(f: Callable[[float], float], a: float, b: float, panels: int,
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int,
               nodes: int) -> float:
     """Composite Gauss-Legendre quadrature of f over [a, b]: `nodes` points
-    on each of `panels` equal panels."""
+    on each of `panels` equal panels.
+
+    f is called once, on the (panels, nodes) array of all nodes, and returns
+    the values there: an array of that shape, or a scalar for a constant.
+    The weighted values are summed in order, panel by panel and node by node,
+    not pairwise; a non-finite value is an EvaluationError naming the first
+    such node in that order."""
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
     if panels < 1:
@@ -141,17 +147,15 @@ def integrate(f: Callable[[float], float], a: float, b: float, panels: int,
     if not 2 <= nodes <= 16:
         raise DomainError("gauss-legendre needs 2..16 nodes per panel")
     edges = np.linspace(a, b, panels + 1)
-    total = 0.0
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     x, w = _leggauss(nodes)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        for xi, wi in zip(x, w):
-            val = f(mid + half * xi)
-            if not math.isfinite(val):
-                raise EvaluationError(f"integrand not finite at x={mid + half * xi}")
-            total += half * wi * val
-    return total
+    points = mid + half * x
+    values = np.broadcast_to(f(points), points.shape)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise EvaluationError(f"integrand not finite at x={points.flat[bad.argmax()]}")
+    return float(np.cumsum(half * w * values)[-1])
 
 
 # Asymptotic tail of psi(z): ln z - 1/(2z) + sum c_k z^(-2k), c_k = -B_{2k}/(2k).

@@ -22,12 +22,13 @@ from .kvb import Classification, DeficiencyModel, ExtensionParameter
 SHIFT = 1.0  # the spectra below are reported for the unshifted operator
 
 
-def radial_integral(f: Callable[[float], float]) -> float:
+def radial_integral(f: Callable[[np.ndarray], np.ndarray]) -> float:
     """4 pi * int_0^inf f(r) dr via the compactifying substitution r = tan(theta),
-    on 80 panels of 12 Gauss-Legendre nodes."""
+    on 80 panels of 12 Gauss-Legendre nodes; f is called once, on the array
+    of all nodes."""
 
-    def g(theta: float) -> float:
-        r = math.tan(theta)
+    def g(theta: np.ndarray) -> np.ndarray:
+        r = np.tan(theta)
         return f(r) * (1.0 + r * r)
 
     return 4.0 * math.pi * integrate(g, 0.0, 0.5 * math.pi, 80, 12)

@@ -135,6 +135,13 @@ class TestPointCommands:
         code, _, _ = run_cli(capsys, "point", "tq", "--quad-tol", "1e-15")
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tq_rejects_a_tolerance_that_is_not_finite_and_positive(self, capsys, tol):
+        code, out, err = run_cli(capsys, "point", "tq", f"--quad-tol={tol}",
+                                 "--format", "records")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: quad_tol = {float(tol)!r}; "), err
+
 
 class TestCoulombCommands:
     def test_threshold(self, capsys):

@@ -98,8 +98,16 @@ class TestAssembly:
             fem.assemble(4, Periodic())
 
     def test_complex_coupling_rejected(self):
-        with pytest.raises(UnsupportedBCError):
-            fem.assemble(16, BoundaryCondition.one_dim_a(0.0, 1j))
+        # c is a real float; a complex one is named, not cast by numpy
+        for c in (1j, 1.0 + 0j):
+            message = f"^complex coupling c = {re.escape(repr(c))} "
+            with pytest.raises(UnsupportedBCError, match=message):
+                fem.assemble(16, BoundaryCondition.one_dim_a(0.0, c))
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coupling_is_a_domain_error(self, c):
+        with pytest.raises(DomainError, match=f"^c is {c}"):
+            fem.assemble(100, BoundaryCondition.one_dim_a(0.0, c))
 
     def test_not_a_boundary_condition(self):
         with pytest.raises(UnsupportedBCError):
@@ -197,10 +205,10 @@ class TestFormConsistency:
         n, b = 400, 1.5
         op = fem.assemble(n, AntiPeriodicRobin(b))
         x = np.linspace(0.0, 1.0, n + 1)
-        g = lambda t: math.cos(math.pi * t) + 0.3 * math.sin(3.0 * math.pi * t)
-        gp = lambda t: (-math.pi * math.sin(math.pi * t)
-                        + 0.9 * math.pi * math.cos(3.0 * math.pi * t))
-        u = np.array([g(t) for t in x[:-1]])  # folded: last node = -first
+        g = lambda t: np.cos(math.pi * t) + 0.3 * np.sin(3.0 * math.pi * t)
+        gp = lambda t: (-math.pi * np.sin(math.pi * t)
+                        + 0.9 * math.pi * np.cos(3.0 * math.pi * t))
+        u = g(x[:-1])  # folded: last node = -first
         discrete = u @ op.K.dot(u)
         # n panels of 2 nodes: the panels align with the elements
         exact = integrate(lambda t: gp(t) ** 2, 0.0, 1.0, n, 2) + b * g(0.0) ** 2

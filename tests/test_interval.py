@@ -22,7 +22,7 @@ class TestResolventAtBottom:
     def test_minimal_norm(self):
         # orthogonal to the ground mode sin(pi x)
         res = interval.resolvent_at_bottom()
-        val = integrate(lambda x: res(x) * math.sin(math.pi * x), 0.0, 1.0, 64, 10)
+        val = integrate(lambda x: res(x) * np.sin(math.pi * x), 0.0, 1.0, 64, 10)
         assert abs(val) < 1e-13
 
 

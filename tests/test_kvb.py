@@ -211,7 +211,7 @@ class TestOneForm:
     """build_q(model, mu) builds every q_mu; is_top_extension tests T >= q_mu."""
 
     @pytest.mark.parametrize("make, q, t_q", [
-        (interval.deficiency_model, 3.9999999999998304, 11.9999999999995),
+        (interval.deficiency_model, 3.9999999999998326, 11.9999999999995),
         (point.deficiency_model_point, 19.739208802178705, 2.0),
     ])
     def test_default_mu_is_t_q_bit_for_bit(self, make, q, t_q):

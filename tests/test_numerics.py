@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -109,7 +110,55 @@ class TestBrent:
             assert evaluations <= 10
 
 
+def loop_nodes(a, b, panels, nodes):
+    """(half panel width, weight, node) of each node, panel by panel and node by node."""
+    edges = np.linspace(a, b, panels + 1)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        for xi, wi in zip(x, w):
+            yield half, wi, mid + half * xi
+
+
+def scalar_loop(f, a, b, panels, nodes):
+    """The reference quadrature: one scalar call of f per node, summed in loop order."""
+    total = 0.0
+    for half, wi, point in loop_nodes(a, b, panels, nodes):
+        total += half * wi * f(point)
+    return total
+
+
+# rational integrands: the array and the scalar calls round alike; the
+# last three are the point model's, in r
+RATIONAL = [
+    lambda x: (1.0 - 2.0 * x) ** 2,
+    lambda x: x * x / (1.0 + x * x) ** 2,
+    lambda x: 1.0 / (1.0 + x * x) ** 2,
+    lambda x: x * x / ((1.0 + x * x) ** 2 * (x * x + 1.0 - 0.3)),
+]
+
+
 class TestIntegrate:
+    @pytest.mark.parametrize("f", RATIONAL)
+    @pytest.mark.parametrize("a, b, panels, nodes", [
+        (0.0, 1.0, 1, 2), (0.0, 1.0, 8, 10), (-0.3, 2.0, 64, 10),
+        (0.0, 0.5 * math.pi, 80, 12), (1.0, 7.0, 5, 16)])
+    def test_bit_equal_to_the_scalar_loop(self, f, a, b, panels, nodes):
+        assert integrate(f, a, b, panels, nodes) == scalar_loop(f, a, b, panels, nodes)
+
+    def test_one_call_on_the_node_grid(self):
+        shapes = []
+
+        def f(x):
+            shapes.append(np.shape(x))
+            return x * x
+        integrate(f, 0.0, 1.0, 8, 10)
+        assert shapes == [(8, 10)]
+
+    def test_scalar_constant(self):
+        # a scalar stands for the constant on every node
+        assert integrate(lambda x: 2.5, -1.0, 3.0, 3, 4) == pytest.approx(10.0, rel=1e-15)
+
     def test_paper_norm(self):
         val = integrate(lambda x: (1.0 - 2.0 * x) ** 2, 0.0, 1.0, 64, 10)
         assert abs(val - 1.0 / 3.0) < 1e-14
@@ -123,12 +172,12 @@ class TestIntegrate:
         x = sympy.symbols("x")
         exact = float(sympy.integrate(sympy.sin(sympy.pi * x) * (1 - 2 * x), (x, 0, 1)))
         assert exact == 0.0
-        val = integrate(lambda x: math.sin(math.pi * x) * (1.0 - 2.0 * x), 0.0, 1.0, 64, 10)
+        val = integrate(lambda x: np.sin(math.pi * x) * (1.0 - 2.0 * x), 0.0, 1.0, 64, 10)
         assert abs(val - exact) < 1e-13
 
     def test_gauss_convergence_order(self):
         # 5-node Gauss-Legendre on smooth f: observed order >= 8 as panels double
-        f = lambda x: math.exp(math.sin(3.0 * x))
+        f = lambda x: np.exp(np.sin(3.0 * x))
         exact = integrate(f, 0.0, 2.0, 256, 16)
         e1 = abs(integrate(f, 0.0, 2.0, 2, 5) - exact)
         e2 = abs(integrate(f, 0.0, 2.0, 4, 5) - exact)
@@ -145,7 +194,15 @@ class TestIntegrate:
 
     def test_nonfinite_integrand(self):
         with pytest.raises(EvaluationError):
-            integrate(lambda x: math.inf if x < 0.5 else 1.0, 0.0, 1.0, 4, 2)
+            integrate(lambda x: np.where(x < 0.5, math.inf, 1.0), 0.0, 1.0, 4, 2)
+
+    def test_nonfinite_names_the_first_node_in_loop_order(self):
+        # NaN on two panels: the message names the node the loop meets first
+        f = lambda x: np.where((x > 0.3) & (x < 0.4) | (x > 0.8), math.nan, x)
+        first = next(point for _, _, point in loop_nodes(0.0, 1.0, 7, 3)
+                     if not math.isfinite(f(point)))
+        with pytest.raises(EvaluationError, match=re.escape(f"not finite at x={first}") + "$"):
+            integrate(f, 0.0, 1.0, 7, 3)
 
 
 class TestDigamma:

@@ -13,7 +13,7 @@ PI2 = math.pi ** 2
 class TestRadialIntegral:
     def test_gaussian(self):
         # 4 pi int_0^inf e^{-r^2} dr = 4 pi sqrt(pi)/2
-        val = point.radial_integral(lambda r: math.exp(-r * r))
+        val = point.radial_integral(lambda r: np.exp(-r * r))
         assert abs(val - 2.0 * math.pi ** 1.5) < 1e-10
 
     def test_lorentzian(self):
@@ -67,6 +67,14 @@ class TestDeficiencyModel:
         # 4 pi int r^2 / (1+r^2)^3 dr = pi^2 / 4
         model = point.deficiency_model_point()
         assert abs(float(model.weighted_gram(0.0)[0, 0]) - PI2 / 4.0) < 1e-10
+
+    def test_weighted_entry_closed_form(self):
+        # 4 pi int r^2 / ((1+r^2)^2 (r^2 + 1 - mu)) dr = pi^2 / (1 + sqrt(1 - mu))^2,
+        # at the levels of the ordering-monotonicity case
+        model = point.deficiency_model_point()
+        for mu in np.linspace(0.0, 1.0, 20):
+            exact = PI2 / (1.0 + math.sqrt(1.0 - mu)) ** 2
+            assert float(model.weighted_gram(float(mu))[0, 0]) == pytest.approx(exact, rel=1e-13)
 
     def test_monotone_in_mu(self):
         model = point.deficiency_model_point()

@@ -151,12 +151,10 @@ VALUES = {
     "--grid": st.sampled_from((-1, 8, 15, 16, 17, 64)),
     "--only": st.sampled_from([prefix for _, prefix, _ in verify.CASES] + ["no-such-case"]),
 }
-# every command but `point tq`, whose exit 1 reports its quadrature check on
-# the default tolerance; secular writes to stdout (no --out)
+# every command; secular writes to stdout (no --out)
 COMMANDS = [([command] + ([subcommand] if subcommand else []),
              [argument[0] for argument in arguments if argument[0] != "--out"])
-            for command, subcommand, arguments, _ in cli.COMMANDS
-            if (command, subcommand) != ("point", "tq")]
+            for command, subcommand, arguments, _ in cli.COMMANDS]
 
 
 @st.composite
@@ -192,9 +190,11 @@ def floats_of(record):
 def test_cli_answers_or_names_its_input(argv):
     # exit 0 with finite fields, apart from echoed inputs (alpha = inf is the
     # Friedrichs extension); exit 1 with records only from verify, when a
-    # record failed; or exit 1 with an error, or 2 with a usage message,
-    # that names a flag
-    names = [arg[2:arg.index("=")] for arg in argv if "=" in arg]
+    # record failed, or from point tq, when its quadrature residual exceeds
+    # quad_tol; or exit 1 with an error, or 2 with a usage message, that
+    # names a flag (quad_tol for --quad-tol)
+    values = {arg[2:arg.index("=")]: arg[arg.index("=") + 1:] for arg in argv if "=" in arg}
+    names = list(values)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -206,12 +206,17 @@ def test_cli_answers_or_names_its_input(argv):
                        if isinstance(x, float)), record
         if argv[0] == "verify":
             assert records and (code == 0) == all(r["passed"] for r in records)
+        elif argv[:2] == ["point", "tq"]:
+            (record,) = records
+            tol = float(values["quad-tol"])
+            assert 0.0 < tol < math.inf and (code == 1) == (record["quad_residual"] > tol)
         else:
             assert code == 0
     else:
         assert code in (1, 2) and out.getvalue() == "", err.getvalue()
         if code == 1:
-            assert any(err.getvalue().startswith(f"error: {name} ") for name in names), \
+            assert any(err.getvalue().startswith(f"error: {name.replace('-', '_')} ")
+                       for name in names), \
                 err.getvalue()
         else:
             assert any(re.search(rf"\b{name}\b", err.getvalue()) for name in names), \
