@@ -33,11 +33,11 @@ def alpha_threshold(nu: float) -> float:
 
 
 def script_F(nu: float, E: float) -> float:
-    """Eigenvalue function F_nu(E) for E < 0."""
-    if not nu > 0:
-        raise DomainError("nu must be positive")
-    if E >= 0:
-        raise DomainError("script_F is defined for E < 0 only")
+    """Eigenvalue function F_nu(E) for finite nu > 0 and E < 0."""
+    if not 0.0 < nu < math.inf:
+        raise DomainError(f"nu is {nu}; a finite positive number is required")
+    if not -math.inf < E < 0.0:
+        raise DomainError(f"E is {E}; script_F is defined for finite E < 0 only")
     s = math.sqrt(-E)
     # s/(4 pi) stays outside the nu/(4 pi) factor: s/nu overflows for tiny nu
     return nu / (4.0 * math.pi) * (

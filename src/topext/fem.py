@@ -6,23 +6,13 @@ terms enter the stiffness matrix as form perturbations obtained by
 integration by parts.  Discrete bottoms over-estimate the analytic ones
 (variational one-sided error), which makes the comparison honest.
 
-The pencil (K, M) is symmetric tridiagonal plus, after the fold
-u_n = c u_0, the corner pair (0, dim-1); it is held once, as bands, and
-every solve and count reads only the bands.  Each shift sigma is factored
-once, and that factorization serves both the inertia count and the solves:
-K - sigma M is formed band by band, node 0 is split off for the corner, the
-tridiagonal rest is factored by LAPACK's pivoted dgttrf, and node 0's Schur
-complement is taken from row sums that cancel nothing.  By Sylvester's law
-the number of eigenvalues below sigma is the negative inertia of
-K - sigma M: LAPACK's Sturm count (dstebz) on the rest plus the Schur
-complement's sign.  The lowest eigenvalues come from a restarted block
-Krylov iteration on k + 2 vectors, one dgttrs call per step, at the shift
-below the spectrum that a step-down from -1 ends on; where an eigenvalue
-lies below -1, steps alternate with the shift at -1, since a very negative
-b1 puts sigma far below every other eigenvalue.  After a Rayleigh-Ritz step
-each eigenvalue is the Rayleigh quotient of its Ritz vector with the energy
-in difference form, n sum (x_{i+1} - x_i)^2 + b1 x_0^2, which subtracts
-nothing, so it is exact to rounding, and two inertia counts certify it.
+The pencil (K, M) is held once, as bands (tridiagonal plus, after the fold
+u_n = c u_0, a corner pair), and every solve and count reads only the bands.
+Each shift sigma is factored once (`_Shift`), for both its inertia count by
+Sylvester's law and its solves.  `lowest_eigenvalues` takes the bottom of
+the spectrum from a restarted block Krylov iteration (`_ritz`) and certifies
+each eigenvalue by inertia counts; `resolvent_form` gives b^T (K - sigma M)^-1 b
+for a sigma below the spectrum.
 """
 from __future__ import annotations
 
@@ -187,6 +177,20 @@ def count_below(op: DiscreteOperator, sigma: float) -> int:
     """Number of eigenvalues of (K, M) below sigma: by Sylvester's law, the
     negative inertia of K - sigma M."""
     return _Shift(op, sigma).count()
+
+
+def resolvent_form(op: DiscreteOperator, sigma: float, b: np.ndarray) -> float:
+    """b^T (K - sigma M)^-1 b from one factored shift, whose inertia count
+    certifies K - sigma M positive definite; otherwise a DomainError naming sigma."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (op.dim,):
+        raise DomainError(f"b has shape {b.shape}; need ({op.dim},), one entry per node")
+    shift = _Shift(op, sigma)
+    below = shift.count()
+    if below > 0 or not shift.schur > 0.0:
+        raise DomainError(f"n = {op.n}, bc = {op.bc}, sigma = {sigma!r}: K - sigma M is not "
+                          f"positive definite ({below} eigenvalues of (K, M) lie below sigma)")
+    return float(b @ shift.solve(b[:, None])[:, 0])
 
 
 def _slopes(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:

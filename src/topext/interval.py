@@ -122,7 +122,10 @@ def secular_F(lam: float) -> float:
     the (1 + cos)/sin form are absent.  Hyperbolic branch for lambda < 0,
     continuous limit F(0) = 0.  For |lambda| < 1e-2 both forms cancel
     12 - 12 (1 + O(lambda)), and F is its Taylor series instead.
+    A non-finite lambda is a DomainError.
     """
+    if not -math.inf < lam < math.inf:
+        raise DomainError(f"lam is {lam}; a finite number is required")
     if lam > 0.0:
         if lam < _SERIES_BELOW:
             return _secular_series(lam)
@@ -176,8 +179,8 @@ def _secular_root(k: int, t: float) -> float:
         lo = -1.0
         while secular_F(lo) >= t:
             lo *= 4.0
-        if lo == -math.inf:
-            raise DomainError(f"t = {t!r}: the bottom -(t/6 - 2)^2 overflows a float")
+            if lo == -math.inf:
+                raise DomainError(f"t = {t!r}: the bottom -(t/6 - 2)^2 overflows a float")
         f = lambda lam: secular_F(lam) - t
         # the root is about t for small |t|: stop relative to it there
         tol = max(1e-12 * min(1.0, -t), math.ulp(0.0))

@@ -13,13 +13,14 @@ on V = ran(S_F - m(S))^{1/2} \\cap ker S*.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .numerics import DomainError, FactorizationError, is_psd, reject_nonfinite
+from .numerics import DomainError, is_psd, reject_nonfinite
 
 TOL = 1e-10  # D(T) in V and T >= q hold to within TOL relative to their size
 
@@ -246,32 +247,8 @@ def is_top_extension(T: ExtensionParameter, tq: TqResult) -> Union[bool, np.ndar
 
 def krein_bound(m_S: float, m_T: float) -> float:
     """Certified lower bound m(S) m(T) / (m(S) + m(T)) for m(S_T)."""
+    if not (-math.inf < m_S < math.inf and -math.inf < m_T < math.inf):
+        raise DomainError(f"m_S = {m_S!r}, m_T = {m_T!r}: finite numbers are required")
     if m_T <= -m_S:
         raise HypothesisViolatedError(f"need m(T) > -m(S), got {m_T} <= {-m_S}")
     return m_S * m_T / (m_S + m_T)
-
-
-def variational_sup_check(A: np.ndarray, h: np.ndarray, samples: int = 1000,
-                          seed: int = 0):
-    """Numerically probe sup_f |<f,h>|^2 / <f,Af> against <h, A^{-1} h>.
-
-    Returns (sup_estimate, closed_form).  The sup estimate maximizes over
-    `samples` random directions plus the analytic maximizer f = A^{-1} h,
-    which attains the closed form exactly.
-    """
-    A = np.asarray(A, dtype=float)
-    h = np.asarray(h, dtype=float)
-    try:
-        L = np.linalg.cholesky(0.5 * (A + A.T))
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError("A must be positive definite") from exc
-    y = np.linalg.solve(L, h)
-    x = np.linalg.solve(L.T, y)          # x = A^{-1} h
-    closed_form = float(h @ x)
-    rng = np.random.default_rng(seed)
-    F = rng.standard_normal((samples, h.size))
-    num = (F @ h) ** 2
-    den = np.einsum("ij,jk,ik->i", F, A, F)
-    ratios = num / den
-    sup_estimate = float(max(ratios.max(initial=0.0), closed_form))
-    return sup_estimate, closed_form

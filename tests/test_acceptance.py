@@ -125,9 +125,15 @@ def test_criterion_06_fem_convergence(records):
 
 
 def test_criterion_07_variational_identity(records):
+    # sup over Dirichlet P1 of |<f,v>|^2/<f,(S_F - mu)f> against the series
+    # <v,(S_F - mu)^-1 v>, v = 1 - 2x: below it by the O(h^2) gap (about 5e-6
+    # at n = 1000), and met by the Richardson extrapolation from n = 500
     r = records["variational-sup"]
-    ok = r.passed and r.parameters["matrices"] == 200
-    report(7, "sup |<f,h>|^2/<f,Af> = <h,A^-1 h> on 200 random cases", ok)
+    one_sided, richardson = r.parameters["one_sided"], r.parameters["richardson"]
+    ok = (r.passed and r.parameters["n"] == 1000
+          and one_sided <= SUP_REL_TOL and -6e-6 <= one_sided <= -4e-6
+          and richardson <= RICHARDSON_REL_TOL and richardson <= 1e-10)
+    report(7, "sup |<f,v>|^2/<f,(S_F - mu)f> = <v,(S_F - mu)^-1 v> on the FEM pencil", ok)
 
 
 def test_criterion_08_ordering_monotonicity(records):

@@ -56,13 +56,18 @@ class TestScriptF:
     def test_large_energy_divergence(self):
         assert script_F(1.0, -1e8) < -100.0
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            script_F(1.0, 0.0)
-        with pytest.raises(DomainError):
-            script_F(1.0, 1.0)
-        with pytest.raises(DomainError):
-            script_F(-1.0, -1.0)
+    @pytest.mark.parametrize("nu, E, match", [
+        (1.0, 0.0, "^E is 0.0"),
+        (1.0, 1.0, "^E is 1.0"),
+        (1.0, -math.inf, "^E is -inf"),
+        (1.0, math.nan, "^E is nan"),
+        (-1.0, -1.0, "^nu is -1.0"),
+        (math.inf, -1.0, "^nu is inf"),
+        (math.nan, -1.0, "^nu is nan"),
+    ])
+    def test_domain(self, nu, E, match):
+        with pytest.raises(DomainError, match=match):
+            script_F(nu, E)
 
 
 class TestEigenvalue:

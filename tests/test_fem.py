@@ -426,6 +426,26 @@ class TestSparseSolver:
             fem.lowest_eigenvalues(op, 2)
 
 
+class TestResolventForm:
+    @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(),
+                                    BoundaryCondition.one_dim_a(5.0, -1.0)])
+    @pytest.mark.parametrize("sigma", [-150.0, 0.0, 9.0])
+    def test_equals_dense_solve(self, bc, sigma):
+        op = fem.assemble(40, bc)
+        K, M = dense(op)
+        b = np.cos(np.arange(op.dim) + 0.5)
+        expected = b @ np.linalg.solve(K - sigma * M, b)
+        assert fem.resolvent_form(op, sigma, b) == pytest.approx(expected, rel=1e-12)
+
+    def test_sigma_above_the_bottom_is_a_domain_error(self):
+        op = fem.assemble(40, BoundaryCondition.dirichlet())
+        with pytest.raises(DomainError, match=r"^n = 40, .*, sigma = 20\.0: K - sigma M is "
+                                              r"not positive definite \(1 eigenvalues"):
+            fem.resolvent_form(op, 20.0, np.ones(op.dim))
+        with pytest.raises(DomainError, match=r"^b has shape \(40,\); need \(39,\)"):
+            fem.resolvent_form(op, 0.0, np.ones(40))
+
+
 # every n in 16..40, and the large grids where the parent solver's
 # certificate failed for Periodic() or AntiPeriodicRobin(-4)
 SAMPLED_GRIDS = list(range(16, 41)) + [1024, 1500, 1555, 1800, 1950, 2000, 2050, 2100, 2400,

@@ -101,11 +101,16 @@ class TestSecularFunction:
     def test_continuity_at_zero(self):
         assert abs(interval.secular_F(1e-8) - interval.secular_F(-1e-8)) < 1e-6
 
-    def test_pole_guard(self):
-        with pytest.raises(PoleError):
-            interval.secular_F(4.0 * PI2)
-        with pytest.raises(PoleError):
-            interval.secular_F(16.0 * PI2 + 1e-12)
+    @pytest.mark.parametrize("lam, error, match", [
+        (4.0 * PI2, PoleError, "within 1e-13"),
+        (16.0 * PI2 + 1e-12, PoleError, "within 1e-13"),
+        (math.nan, DomainError, "^lam is nan"),
+        (math.inf, DomainError, "^lam is inf"),
+        (-math.inf, DomainError, "^lam is -inf"),
+    ])
+    def test_pole_guard(self, lam, error, match):
+        with pytest.raises(error, match=match):
+            interval.secular_F(lam)
 
     def test_increasing_between_poles(self):
         lams = np.linspace(4.0 * PI2 + 0.5, 16.0 * PI2 - 0.5, 200)

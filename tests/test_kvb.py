@@ -14,7 +14,6 @@ from topext.kvb import (
     build_q,
     is_top_extension,
     krein_bound,
-    variational_sup_check,
 )
 from topext.numerics import DomainError
 
@@ -341,38 +340,22 @@ class TestKreinBound:
     def test_values(self):
         assert abs(krein_bound(1.0, 1.0) - 0.5) < 1e-15
         assert krein_bound(2.0, 1e12) < 2.0  # saturates at m_S from below
-
-    def test_limits(self):
         assert krein_bound(3.0, 0.0) == 0.0
         assert krein_bound(3.0, -1.0) < 0.0
-        with pytest.raises(HypothesisViolatedError):
-            krein_bound(3.0, -3.0)
+
+    @pytest.mark.parametrize("m_S, m_T, error, match", [
+        (3.0, -3.0, HypothesisViolatedError, "^need m"),
+        (NAN, 1.0, DomainError, "^m_S = nan, m_T = 1.0: finite"),
+        (INF, 1.0, DomainError, "^m_S = inf, m_T = 1.0: finite"),
+        (3.0, NAN, DomainError, "^m_S = 3.0, m_T = nan: finite"),
+        (3.0, -INF, DomainError, "^m_S = 3.0, m_T = -inf: finite"),
+    ])
+    def test_limits(self, m_S, m_T, error, match):
+        with pytest.raises(error, match=match):
+            krein_bound(m_S, m_T)
 
     def test_below_min(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             m_S, m_T = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
             assert krein_bound(m_S, m_T) <= min(m_S, m_T) + 1e-12
-
-
-class TestVariationalSup:
-    def test_never_exceeds_closed_form(self):
-        rng = np.random.default_rng(0)
-        for i in range(20):
-            B = rng.standard_normal((5, 5))
-            A = B @ B.T + 5.0 * np.eye(5)
-            h = rng.standard_normal(5)
-            sup, closed = variational_sup_check(A, h, samples=1000, seed=i)
-            assert sup <= closed * (1.0 + 1e-12)
-            assert sup >= closed * (1.0 - 1e-12)  # the maximizer is sampled
-
-    def test_closed_form_identity(self):
-        A = np.diag([1.0, 2.0, 4.0])
-        h = np.array([1.0, 1.0, 1.0])
-        _, closed = variational_sup_check(A, h, samples=10, seed=0)
-        assert abs(closed - (1.0 + 0.5 + 0.25)) < 1e-14
-
-    def test_not_pd(self):
-        from topext.numerics import FactorizationError
-        with pytest.raises(FactorizationError):
-            variational_sup_check(-np.eye(3), np.ones(3))
