@@ -6,8 +6,10 @@ terms enter the stiffness matrix as form perturbations obtained by
 integration by parts.  Discrete bottoms over-estimate the analytic ones
 (variational one-sided error), which makes the comparison honest.
 
-The pencil (K, M) is held once, as bands (tridiagonal plus, after the fold
-u_n = c u_0, a corner pair), and every solve and count reads only the bands.
+Every constraint is the fold u_n = c u_0, with b1 added at node 0, on the
+nodes first..n-1: 0..n-1, or 1..n-1 for Dirichlet, which is c = b1 = 0.
+The pencil (K, M) is held once, as bands (tridiagonal plus the fold's
+corner pair), and every solve and count reads only the bands.
 Each shift sigma is factored once (`_Shift`), for both its inertia count by
 Sylvester's law and its solves.  `lowest_eigenvalues` takes the bottom of
 the spectrum from a restarted block Krylov iteration (`_ritz`) and certifies
@@ -18,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgeqp3, dgttrf, dgttrs, dorgqr, dstebz
 
-from .numerics import DomainError, FactorizationError, SearchError, reject_nonfinite
+from .numerics import (DomainError, FactorizationError, SearchError, reject_nonfinite,
+                       reject_noninteger)
 from .interval import BoundaryCondition
 
 
@@ -45,11 +48,11 @@ def AntiPeriodicRobin(b: float = 0.0) -> BoundaryCondition:
 class Bands(NamedTuple):
     """A symmetric matrix of order diag.size: diagonal `diag`, first
     off-diagonal `off`, and the fold's entry `corner` at (0, dim-1) and
-    (dim-1, 0); `corner` is None where no fold couples the ends (Dirichlet)."""
+    (dim-1, 0), which is 0 under Dirichlet."""
 
     diag: np.ndarray
     off: np.ndarray
-    corner: Optional[float]
+    corner: float
 
     def dot(self, X: np.ndarray) -> np.ndarray:
         """The product with a vector or a block X of dim rows."""
@@ -57,9 +60,8 @@ class Bands(NamedTuple):
         Y = d * X
         Y[:-1] += e * X[1:]
         Y[1:] += e * X[:-1]
-        if self.corner is not None:
-            Y[0] += self.corner * X[-1]
-            Y[-1] += self.corner * X[0]
+        Y[0] += self.corner * X[-1]
+        Y[-1] += self.corner * X[0]
         return Y
 
 
@@ -76,25 +78,24 @@ class DiscreteOperator:
     def dim(self) -> int:
         return self.K.diag.size
 
+    @property
+    def first(self) -> int:
+        """The first node kept: the constraint keeps nodes first..n-1."""
+        return self.n - self.dim
 
-def _constrained(n: int, bc: BoundaryCondition, diag: float, off: float, b1: float) -> Bands:
-    """The matrix whose element matrices are [[diag, off], [off, diag]], on
-    the nodes the constraint keeps: 1..n-1 for Dirichlet, 0..n-1 after the
-    fold u_n = c u_0, which is P^T A P for P = [I; c e_0^T] and so changes
-    only row and column 0."""
-    d = np.full(n + 1, diag + diag)
-    d[0] = d[-1] = diag  # the end nodes belong to one element
-    e = np.full(n, off)
-    if bc.variant == "dirichlet":
-        return Bands(d[1:-1], e[1:-1], None)
-    d, e = d[:-1], e[:-1]
-    d[0] += bc.c * (bc.c * diag)
-    d[0] += b1
-    return Bands(d, e, bc.c * off)
+
+def _constrained(n: int, first: int, c: float, diag: float, off: float, b1: float) -> Bands:
+    """The matrix whose element matrices are [[diag, off], [off, diag]]
+    after the fold u_n = c u_0, which is P^T A P for P = [I; c e_0^T] and so
+    changes only row and column 0, on the nodes first..n-1."""
+    d = np.full(n, diag + diag)
+    d[0] = diag + c * (c * diag) + b1  # nodes 0 and n belong to one element each
+    return Bands(d[first:], np.full(n - 1, off)[first:], c * off)
 
 
 def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
     """Stiffness/mass pair with the boundary constraint folded in."""
+    reject_noninteger(n=n)
     if n < 8:
         raise DomainError(f"n = {n}: grid too coarse, need n >= 8")
     if not isinstance(bc, BoundaryCondition):
@@ -104,10 +105,13 @@ def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
     if isinstance(bc.c, complex):
         raise UnsupportedBCError(f"complex coupling c = {bc.c!r} has no real symmetric form")
     reject_nonfinite(b1=bc.b1, c=bc.c)
+    first = int(bc.variant == "dirichlet")  # Dirichlet drops node 0, where u_0 = 0
+    if first and (bc.b1, bc.c) != (0.0, 0.0):
+        raise UnsupportedBCError(f"{bc}: Dirichlet is the fold with b1 = c = 0")
     h = 1.0 / n
     # element matrices [[1, -1], [-1, 1]] / h and [[2, 1], [1, 2]] h / 6
-    K = _constrained(n, bc, 1.0 / h, -1.0 / h, bc.b1)
-    M = _constrained(n, bc, 2.0 * h / 6.0, h / 6.0, 0.0)
+    K = _constrained(n, first, bc.c, 1.0 / h, -1.0 / h, bc.b1)
+    M = _constrained(n, first, bc.c, 2.0 * h / 6.0, h / 6.0, 0.0)
     return DiscreteOperator(n=n, bc=bc, K=K, M=M)
 
 
@@ -117,12 +121,11 @@ class _Shift:
     Node 0 is split off: the rest T of A is tridiagonal, factored by LAPACK's
     pivoted dgttrf, and r is node 0's coupling to it (which carries the
     fold's corner entry).  The Schur complement of T is a - r^T T^-1 s, with
-    T^-1 r = T^-1 s - w.  Under Dirichlet that is a = A_00, s = r, w = 0.
-    After a fold, w is the linear vector w_i = 1 + (c - 1) i/n, which
-    satisfies the fold, and (a, s) are the row sums A w: exactly,
-    K w = (b1 + (c - 1)^2) e_0, so A w = that minus sigma M w, a sum in which
-    nothing cancels; the Schur complement is then exact to rounding, however
-    close sigma is to an eigenvalue."""
+    T^-1 r = T^-1 s - w.  After a fold, w is the linear vector
+    w_i = 1 + (c - 1) i/n, which satisfies the fold, and (a, s) are the row
+    sums A w: exactly, K w = (b1 + (c - 1)^2) e_0, so A w = that minus
+    sigma M w, a sum in which nothing cancels; the Schur complement is then
+    exact to rounding, however close sigma is to an eigenvalue."""
 
     def __init__(self, op: DiscreteOperator, sigma: float):
         K, M = op.K, op.M
@@ -130,17 +133,16 @@ class _Shift:
             d = K.diag - sigma * M.diag
             e = K.off - sigma * M.off
             finite = np.isfinite(d).all() and np.isfinite(e * e).all()
-        corner = None if K.corner is None else K.corner - sigma * M.corner
-        if not (finite and (corner is None or math.isfinite(corner))):
+        corner = K.corner - sigma * M.corner
+        if not (finite and math.isfinite(corner)):
             raise DomainError(f"n = {op.n}, bc = {op.bc}, sigma = {sigma!r}: K - sigma M has "
                               "an entry or a squared off-diagonal entry that is not finite")
         self.n, self.sigma, self.T = op.n, sigma, (d[1:], e[1:])
         r = np.zeros(op.dim - 1)
-        r[0] = e[0]
-        if corner is None:
+        r[0], r[-1] = e[0], corner
+        if op.first:  # Dirichlet: the only linear w with w_0 = w_n = 0 is 0
             a, s, w = d[0], r, 0.0
         else:
-            r[-1] = corner
             c, b1 = op.bc.c, op.bc.b1
             w = 1.0 + (c - 1.0) * np.arange(op.dim) / op.n
             s = -sigma * M.dot(w)
@@ -193,42 +195,38 @@ def resolvent_form(op: DiscreteOperator, sigma: float, b: np.ndarray) -> float:
     return float(b @ shift.solve(b[:, None])[:, 0])
 
 
-def _slopes(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
-    """n (x_{i+1} - x_i) on each element for every column x of X, with the
-    end values the constraint gives: x_0 = x_n = 0, or x_n = c x_0."""
-    if op.K.corner is None:
-        edge = np.zeros((1, X.shape[1]))
-        return op.n * np.diff(np.concatenate((edge, X, edge)), axis=0)
-    return op.n * np.diff(np.concatenate((X, op.bc.c * X[:1])), axis=0)
+def _slopes(op: DiscreteOperator, X: np.ndarray) -> tuple:
+    """x_0 and the slopes n (x_{i+1} - x_i) of every column x of X on nodes
+    first..n-1, with x_0 = 0 where node 0 is not kept, and x_n = c x_0."""
+    U = np.zeros((op.n + 1, X.shape[1]))
+    U[op.first:-1] = X
+    U[-1] = op.bc.c * U[0]
+    return U[0], op.n * np.diff(U, axis=0)
 
 
 def _stiffness(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
-    """K X in difference form: each row is a difference of two slopes (plus,
-    after a fold, b1 x_0 at node 0), so a smooth x loses nothing to the
-    cancellation that the bands' K x suffers."""
-    D = _slopes(op, X)
-    if op.K.corner is None:
-        return D[:-1] - D[1:]
-    KX = np.empty_like(X)
+    """K X in difference form: each row is a difference of two slopes (plus
+    b1 x_0 at node 0), so a smooth x loses nothing to the cancellation that
+    the bands' K x suffers.  The block keeps X's layout, on which the
+    rounding of V^T K V depends."""
+    x0, D = _slopes(op, X)
+    KX = np.empty_like(X, shape=(op.n, X.shape[1]))
     KX[1:] = D[:-1] - D[1:]
-    KX[0] = op.bc.c * D[-1] - D[0] + op.bc.b1 * X[0]
-    return KX
+    KX[0] = op.bc.c * D[-1] - D[0] + op.bc.b1 * x0
+    return KX[op.first:]
 
 
 def _quotients(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
     """Rayleigh quotient of each column of X, with the energy in difference
     form, n sum (x_{i+1} - x_i)^2 + b1 x_0^2, over x^T M x."""
-    D = _slopes(op, X)
-    energy = (D * D).sum(axis=0) / op.n
-    if op.K.corner is not None:
-        energy += op.bc.b1 * X[0] ** 2
+    x0, D = _slopes(op, X)
+    energy = (D * D).sum(axis=0) / op.n + op.bc.b1 * x0 ** 2
     return energy / (X * op.M.dot(X)).sum(axis=0)
 
 
 def _start(op: DiscreteOperator, p: int) -> np.ndarray:
     """The first p Chebyshev polynomials on [0, 1], at the nodes."""
-    offset = 1 if op.K.corner is None else 0
-    x = (np.arange(op.dim) + offset) / op.n
+    x = (np.arange(op.dim) + op.first) / op.n
     return np.cos(np.outer(np.arccos(2.0 * x - 1.0), np.arange(p)))
 
 
@@ -301,6 +299,7 @@ def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     in difference form, and each, lambda_j, is enclosed by inertia counts:
     at most j - 1 eigenvalues lie below lambda_j - delta and at least j
     below lambda_j + delta."""
+    reject_noninteger(k=k)
     if not 1 <= k < op.dim:
         raise DomainError(f"k = {k}: need 1 <= k < dim = {op.dim}")
     first = shift = _Shift(op, -1.0)
@@ -320,5 +319,6 @@ def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     return w
 
 
-def discrete_bottom(n: int, bc: BoundaryCondition) -> float:
-    return float(lowest_eigenvalues(assemble(n, bc), 1)[0])
+def discrete_bottom(op: DiscreteOperator) -> float:
+    """The lowest eigenvalue of (K, M), certified."""
+    return float(lowest_eigenvalues(op, 1)[0])

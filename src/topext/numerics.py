@@ -42,6 +42,13 @@ def reject_nonfinite(**args: float) -> None:
             raise DomainError(f"{name} is {value}; a finite number is required")
 
 
+def reject_noninteger(**args: int) -> None:
+    """Raise DomainError naming the first keyword argument that is not an integer."""
+    for name, value in args.items():
+        if not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} = {value}: need an integer")
+
+
 @dataclass(frozen=True)
 class Bracket:
     """An interval [lo, hi] with opposite function signs at the ends."""

@@ -201,19 +201,22 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--only", "nothing")
         assert code == 2
 
-    @pytest.mark.parametrize("grid", [0, 8, 9, 15])
+    @pytest.mark.parametrize("grid", [0, 8, 9, 15, 2000.0, math.nan])
     def test_grid_below_16_is_a_domain_error(self, capsys, monkeypatch, grid):
         # the Richardson checks solve at grid // 2, which fem.assemble needs >= 8;
-        # the grid is rejected before any case runs
+        # the grid is rejected before any case runs, and so is one that is not
+        # an integer
         def no_fem(*args, **kwargs):
             raise AssertionError("fem.assemble called")
         monkeypatch.setattr(fem, "assemble", no_fem)
-        message = f"grid = {grid}: need grid >= 16"
+        need = "grid >= 16" if isinstance(grid, int) else "an integer"
+        message = f"grid = {grid}: need {need}"
         with pytest.raises(DomainError, match=f"^{message}"):
             run(grid=grid)
-        code, out, err = run_cli(capsys, "verify", "--grid", str(grid))
-        assert (code, out) == (1, "")
-        assert err.startswith(f"error: {message}")
+        if isinstance(grid, int):  # the CLI parses --grid as an integer
+            code, out, err = run_cli(capsys, "verify", "--grid", str(grid))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {message}")
 
     def test_only_matches_nothing(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--grid", "200",

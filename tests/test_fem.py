@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
+from scipy.optimize import brentq
 from hypothesis import assume, given, settings, strategies as st
 
 from topext import fem, interval
@@ -36,12 +37,11 @@ def free_matrices(n):
 
 
 def dense_bands(B):
-    """The dense matrix that fem.Bands holds: diagonal, off-diagonal and,
-    after a fold, the corner pair (0, dim-1), (dim-1, 0)."""
+    """The dense matrix that fem.Bands holds: diagonal, off-diagonal and
+    the corner pair (0, dim-1), (dim-1, 0), which is 0 under Dirichlet."""
     A = np.diag(B.diag) + np.diag(B.off, 1) + np.diag(B.off, -1)
-    if B.corner is not None:
-        A[0, -1] += B.corner
-        A[-1, 0] += B.corner
+    A[0, -1] += B.corner
+    A[-1, 0] += B.corner
     return A
 
 
@@ -92,10 +92,14 @@ class TestAssembly:
         assert fem.assemble(16, BoundaryCondition.dirichlet()).dim == 15
         assert fem.assemble(16, Periodic()).dim == 16
         assert fem.assemble(16, AntiPeriodicRobin(1.0)).dim == 16
+        assert fem.assemble(np.int64(16), Periodic()).dim == 16
 
-    def test_too_coarse(self):
-        with pytest.raises(DomainError, match=r"^n = 4: grid too coarse, need n >= 8"):
-            fem.assemble(4, Periodic())
+    @pytest.mark.parametrize("n", [4, 100.5, 100.0, math.nan])
+    def test_too_coarse(self, n):
+        # a grid size that is not an integer is named, not a raw numpy TypeError
+        reason = "grid too coarse, need n >= 8" if isinstance(n, int) else "need an integer"
+        with pytest.raises(DomainError, match=f"^n = {n}: {reason}"):
+            fem.assemble(n, Periodic())
 
     def test_complex_coupling_rejected(self):
         # c is a real float; a complex one is named, not cast by numpy
@@ -112,13 +116,15 @@ class TestAssembly:
     def test_not_a_boundary_condition(self):
         with pytest.raises(UnsupportedBCError):
             fem.assemble(16, "periodic")
+        # Dirichlet is the fold with b1 = c = 0: other values are named, not ignored
+        for bc in (BoundaryCondition("dirichlet", 5.0), BoundaryCondition("dirichlet", 0.0, 0.3)):
+            with pytest.raises(UnsupportedBCError, match=f"^{re.escape(str(bc))}: Dirichlet"):
+                fem.assemble(16, bc)
 
     @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
     def test_nonfinite_b1_is_a_domain_error(self, b):
         with pytest.raises(DomainError, match=f"^b1 is {b}"):
             fem.assemble(100, AntiPeriodicRobin(b))
-        with pytest.raises(DomainError, match=f"^b1 is {b}"):
-            fem.discrete_bottom(100, AntiPeriodicRobin(b))
 
     def test_shift_overflow_is_a_domain_error(self):
         # the shift is stepped down by factors of 4 until nothing is counted
@@ -127,12 +133,12 @@ class TestAssembly:
         for b1 in (-2.1e154, -1e300):
             message = rf"^n = 100, bc = .*{re.escape(repr(b1))}.*sigma = -.*is not finite"
             with pytest.raises(DomainError, match=message):
-                fem.discrete_bottom(100, AntiPeriodicRobin(b1))
+                fem.discrete_bottom(fem.assemble(100, AntiPeriodicRobin(b1)))
 
     def test_large_negative_robin_parameter_is_solved(self):
         # short of that overflow the counts hold and the bottom is finite;
         # its eigenvector sits on node 0, where b1 enters the stiffness
-        assert fem.discrete_bottom(100, AntiPeriodicRobin(-1e150)) == pytest.approx(
+        assert fem.discrete_bottom(fem.assemble(100, AntiPeriodicRobin(-1e150))) == pytest.approx(
             -1.732050807568877e152, rel=1e-12)
 
     def test_named_conditions_are_one_dim_a(self):
@@ -140,7 +146,7 @@ class TestAssembly:
         for b in (0.0, -4.0, 1.5):
             assert AntiPeriodicRobin(b) == BoundaryCondition.one_dim_a(b, -1.0)
 
-    @pytest.mark.parametrize("c", [1.0, -1.0, 0.3])
+    @pytest.mark.parametrize("c", [1.0, -1.0, 0.3, 0.0])
     def test_fold_equals_dense_projection(self, c):
         # reference: u_n = c u_0 imposed by P = [I; c e_0^T] as P^T A P
         n, b1 = 200, -2.5
@@ -225,19 +231,19 @@ class TestFormConsistency:
 
 class TestDiscreteBottoms:
     def test_dirichlet(self):
-        d = fem.discrete_bottom(200, BoundaryCondition.dirichlet())
+        d = fem.discrete_bottom(fem.assemble(200, BoundaryCondition.dirichlet()))
         assert 0.0 < d - PI2 < 1e-2  # variational over-estimate
 
     def test_periodic(self):
-        assert abs(fem.discrete_bottom(200, Periodic())) < 1e-8
+        assert abs(fem.discrete_bottom(fem.assemble(200, Periodic()))) < 1e-8
 
     def test_antiperiodic(self):
-        d = fem.discrete_bottom(200, AntiPeriodicRobin(0.0))
+        d = fem.discrete_bottom(fem.assemble(200, AntiPeriodicRobin(0.0)))
         assert 0.0 < d - PI2 < 1e-2
 
     def test_negative_robin_below_pi2(self):
         for b in (-4.0, -1.0, -0.25):
-            d = fem.discrete_bottom(200, AntiPeriodicRobin(b))
+            d = fem.discrete_bottom(fem.assemble(200, AntiPeriodicRobin(b)))
             analytic = interval.spectrum(interval.b_to_t(b), cutoff=50.0).bottom
             assert d < PI2
             assert abs(d - analytic) < 5e-3 * max(1.0, abs(analytic))
@@ -246,7 +252,23 @@ class TestDiscreteBottoms:
         # discrete >= analytic for the conforming discretization
         for b in (-1.0, 0.5, 5.0):
             analytic = interval.spectrum(interval.b_to_t(b), cutoff=50.0).bottom
-            assert fem.discrete_bottom(300, AntiPeriodicRobin(b)) >= analytic - 1e-10
+            assert fem.discrete_bottom(fem.assemble(300, AntiPeriodicRobin(b))) >= analytic - 1e-10
+
+    @pytest.mark.parametrize("b1", [5.0, 0.0, -0.5, -3.0])
+    def test_robin_dirichlet_against_its_closed_form(self, b1):
+        # g'(0) = b1 g(0), g(1) = 0: the one-dim-a condition with c = 0, whose
+        # eigenfunctions sin(k (1 - x)) satisfy b1 sin k + k cos k = 0, and
+        # for b1 < -1 the bottom is -kappa^2 with b1 sinh kappa + kappa cosh kappa = 0
+        if b1 < -1.0:
+            kappa = brentq(lambda s: b1 * math.sinh(s) + s * math.cosh(s), 1e-3, 10.0, xtol=1e-15)
+            exact = -kappa ** 2
+        else:
+            exact = brentq(lambda s: b1 * math.sin(s) + s * math.cos(s), 1e-3, math.pi,
+                           xtol=1e-15) ** 2
+        bc = BoundaryCondition.one_dim_a(b1, 0.0)
+        fine, coarse = (fem.discrete_bottom(fem.assemble(n, bc)) for n in (2000, 1000))
+        assert fine >= exact  # variational over-estimate
+        assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-10 * max(1.0, abs(exact))
 
     def test_excited_dirichlet_levels(self):
         w = fem.lowest_eigenvalues(fem.assemble(500, BoundaryCondition.dirichlet()), 4)
@@ -255,9 +277,10 @@ class TestDiscreteBottoms:
 
     def test_k_outside_the_dimension(self):
         op = fem.assemble(16, BoundaryCondition.dirichlet())
-        for k in (0, op.dim + 1):
-            with pytest.raises(DomainError):
+        for k in (0, op.dim + 1, 1.5):
+            with pytest.raises(DomainError, match=f"^k = {k}: need "):
                 fem.lowest_eigenvalues(op, k)
+        assert len(fem.lowest_eigenvalues(op, np.int64(2))) == 2
 
     def test_k_equal_to_the_dimension(self):
         # the API asks for k < dim
@@ -370,13 +393,13 @@ class TestSparseSolver:
 
     def test_bit_identical_whatever_ran_before(self):
         bc = AntiPeriodicRobin(-1.0)
-        first = fem.discrete_bottom(2000, bc)
+        first = fem.discrete_bottom(fem.assemble(2000, bc))
         fem.lowest_eigenvalues(fem.assemble(300, Periodic()), 5)
         np.random.seed(12345)
         np.random.standard_normal(1000)
-        fem.discrete_bottom(700, BoundaryCondition.dirichlet())
-        assert fem.discrete_bottom(2000, bc) == first
-        assert fem.discrete_bottom(2000, bc) == first
+        fem.discrete_bottom(fem.assemble(700, BoundaryCondition.dirichlet()))
+        assert fem.discrete_bottom(fem.assemble(2000, bc)) == first
+        assert fem.discrete_bottom(fem.assemble(2000, bc)) == first
 
     @pytest.mark.parametrize("n, bc, k, eliminations", [
         (2000, AntiPeriodicRobin(-1.0), 1, 3),
@@ -404,7 +427,7 @@ class TestSparseSolver:
 
     def test_singular_block_is_a_factorization_error(self):
         # K = M = 0: the block T on nodes 1..dim-1 has no pivot at all
-        zero = fem.Bands(np.zeros(7), np.zeros(6), None)
+        zero = fem.Bands(np.zeros(7), np.zeros(6), 0.0)
         op = fem.DiscreteOperator(8, BoundaryCondition.dirichlet(), zero, zero)
         with pytest.raises(FactorizationError, match=r"^n = 8, sigma = 0\.5: singular matrix"):
             fem.count_below(op, 0.5)
@@ -463,19 +486,19 @@ class TestExactBottoms:
     def test_certified_at_every_sampled_grid(self, bc):
         # discrete_bottom raises SearchError unless the counts enclose it
         for n in SAMPLED_GRIDS:
-            fem.discrete_bottom(n, bc)
+            fem.discrete_bottom(fem.assemble(n, bc))
 
     def test_dirichlet_bottom_is_the_closed_form(self):
         n = 2000
         exact = closed_form_p1_bottom(n)
         for bc in (BoundaryCondition.dirichlet(), AntiPeriodicRobin(0.0)):
-            assert abs(fem.discrete_bottom(n, bc) - exact) <= 4 * math.ulp(exact), bc
+            assert abs(fem.discrete_bottom(fem.assemble(n, bc)) - exact) <= 4 * math.ulp(exact), bc
 
     def test_zero_bottoms_are_zero_to_rounding(self):
         # at n = 4096 the stored K is exact and K 1 = 0, K (1 - 2x) = -4 e_0
         n = 4096
-        assert abs(fem.discrete_bottom(n, Periodic())) <= 1e-14
-        assert abs(fem.discrete_bottom(n, AntiPeriodicRobin(-4.0))) <= 1e-14
+        assert abs(fem.discrete_bottom(fem.assemble(n, Periodic()))) <= 1e-14
+        assert abs(fem.discrete_bottom(fem.assemble(n, AntiPeriodicRobin(-4.0)))) <= 1e-14
         for bc in (Periodic(), AntiPeriodicRobin(-4.0)):
             op = fem.assemble(n, bc)
             assert fem.count_below(op, -1e-12) == 0, bc
@@ -486,12 +509,13 @@ class TestVerifyInterval:
     def test_convergence_order(self):
         # one-sided O(h^2) error of the P1 bottom for the b-family at b = 0.5
         analytic = interval.spectrum(interval.b_to_t(0.5), cutoff=200.0).bottom
-        e_200 = abs(fem.discrete_bottom(200, AntiPeriodicRobin(0.5)) - analytic)
-        e_400 = abs(fem.discrete_bottom(400, AntiPeriodicRobin(0.5)) - analytic)
+        e_200 = abs(fem.discrete_bottom(fem.assemble(200, AntiPeriodicRobin(0.5))) - analytic)
+        e_400 = abs(fem.discrete_bottom(fem.assemble(400, AntiPeriodicRobin(0.5))) - analytic)
         assert abs(math.log2(e_200 / e_400) - 2.0) < 0.3
 
     def test_exact_eigenvector_case(self):
         # b = -4: the bottom eigenfunction 1 - 2x is piecewise linear, so it
         # lies in the FEM space and the discrete bottom is exact
         analytic = interval.spectrum(interval.b_to_t(-4.0), cutoff=200.0).bottom
-        assert abs(fem.discrete_bottom(100, AntiPeriodicRobin(-4.0)) - analytic) < 1e-8
+        bottom = fem.discrete_bottom(fem.assemble(100, AntiPeriodicRobin(-4.0)))
+        assert abs(bottom - analytic) < 1e-8

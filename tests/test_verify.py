@@ -35,8 +35,8 @@ def test_pass_does_each_piece_of_work_once(monkeypatch, grid, assemblies):
         assert all(r.passed for r in verify.run(grid=grid))
         assert sum(assembled.values()) == assemblies
         assert set(assembled.values()) == {1}
-        # 50 on the t grid, 7 classify conditions, 1 secular root
-        assert len(spectra) == 58
+        # 50 on the t grid and 1 secular root; classify reads its own bottom
+        assert len(spectra) == 51
 
 
 def test_family_cases_decide_in_stacked_calls(monkeypatch):
