@@ -6,7 +6,6 @@ parametrization by operators on the deficiency space, instantiated on
 three worked examples and cross-validated by a finite-element oracle.
 """
 
-# `fem` and `verify` load scipy: import them by name where a FEM solve runs
 from . import coulomb, interval, kvb, numerics, point  # noqa: F401
 
 __all__ = ["coulomb", "interval", "kvb", "numerics", "point"]

@@ -129,7 +129,7 @@ def _coulomb_classify(a):
 
 
 def _verify(a) -> int:
-    from . import verify  # loads scipy, which no other command needs
+    from . import verify
     reports = verify.run(grid=a.grid, only=a.only)
     if not reports:
         print(f"verify: --only {a.only!r} matches no example or case", file=sys.stderr)

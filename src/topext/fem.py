@@ -8,26 +8,41 @@ integration by parts.  Discrete bottoms over-estimate the analytic ones
 
 Every constraint is the fold u_n = c u_0, with b1 added at node 0, on the
 nodes first..n-1: 0..n-1, or 1..n-1 for Dirichlet, which is c = b1 = 0.
-The pencil (K, M) is held once, as bands (tridiagonal plus the fold's
-corner pair), and every solve and count reads only the bands.
-Each shift sigma is factored once (`_Shift`), for both its inertia count by
-Sylvester's law and its solves.  `lowest_eigenvalues` takes the bottom of
-the spectrum from a restarted block Krylov iteration (`_ritz`) and certifies
-each eigenvalue by inertia counts; `resolvent_form` gives b^T (K - sigma M)^-1 b
-for a sigma below the spectrum.
+`assemble` holds the pencil (K, M) as bands (tridiagonal plus the fold's
+corner pair).
+
+The solver reads the pencil's structure.  On nodes 1..n-1, K - lambda M is
+the same symmetric Toeplitz tridiagonal block T(lambda) under every
+constraint.  Its eigenvectors are the DST-I vectors
+v_j = sqrt(2/n) sin(i theta_j), theta_j = j pi / n, with eigenvalues
+k_j - lambda m_j, where k_j = 4n sin^2(theta_j / 2) and
+m_j = (2 + cos theta_j) / (3n).  Under Dirichlet the eigenvalues of (K, M)
+are the poles p_j = k_j / m_j.  The fold borders T at node 0.  Node 0's Schur
+complement g(lambda) is the P1 analogue of the interval's secular equation
+F(lambda) = t: it falls strictly between the poles at which node 0 has
+weight (the live poles), and the eigenvalues are its zeros plus the poles
+at which node 0 has no weight (half of them when c = +-1).  By Sylvester's
+law the number of eigenvalues below sigma is the number of poles below sigma
+plus [g(sigma) < 0] (`count_below`).  So `lowest_eigenvalues` finds each zero of g
+by one Brent search between consecutive live poles, and the signs of g at
+the search's ends, with the pole count, certify it.  `resolvent_form` sums
+b^T (K - sigma M)^-1 b over the DST modes of b.
+
+Errors: `lowest_eigenvalues` raises a `SearchError` when the signs of g at a
+bracket's ends do not certify its zero, and a `DomainError` when an
+eigenvalue it needs lies outside the float range, or when b1 and c overflow
+node 0's Schur complement.  Each message names n and the constraint.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgeqp3, dgttrf, dgttrs, dorgqr, dstebz
 
-from .numerics import (DomainError, FactorizationError, SearchError, reject_nonfinite,
-                       reject_noninteger)
+from .numerics import Bracket, DomainError, SearchError, bisect, reject_nonfinite, reject_noninteger
 from .interval import BoundaryCondition
 
 
@@ -54,20 +69,12 @@ class Bands(NamedTuple):
     off: np.ndarray
     corner: float
 
-    def dot(self, X: np.ndarray) -> np.ndarray:
-        """The product with a vector or a block X of dim rows."""
-        d, e = (self.diag, self.off) if X.ndim == 1 else (self.diag[:, None], self.off[:, None])
-        Y = d * X
-        Y[:-1] += e * X[1:]
-        Y[1:] += e * X[:-1]
-        Y[0] += self.corner * X[-1]
-        Y[-1] += self.corner * X[0]
-        return Y
-
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Stiffness K and mass M of order dim, as bands."""
+    """Stiffness K and mass M of order dim, as bands.  The solvers read only
+    n and the constraint, whose pencil K and M are: they hold it for forms
+    and for dense references."""
 
     n: int
     bc: BoundaryCondition
@@ -115,208 +122,150 @@ def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
     return DiscreteOperator(n=n, bc=bc, K=K, M=M)
 
 
-class _Shift:
-    """A = K - sigma M, formed band by band, split and factored once.
+class _Spectrum:
+    """The block's modes and, after a fold, node 0's Schur complement g.
 
-    Node 0 is split off: the rest T of A is tridiagonal, factored by LAPACK's
-    pivoted dgttrf, and r is node 0's coupling to it (which carries the
-    fold's corner entry).  The Schur complement of T is a - r^T T^-1 s, with
-    T^-1 r = T^-1 s - w.  After a fold, w is the linear vector
-    w_i = 1 + (c - 1) i/n, which satisfies the fold, and (a, s) are the row
-    sums A w: exactly, K w = (b1 + (c - 1)^2) e_0, so A w = that minus
-    sigma M w, a sum in which nothing cancels; the Schur complement is then
-    exact to rounding, however close sigma is to an eigenvalue."""
+    theta_j = j pi / n for j = 1..n-1, and `poles` the block's eigenvalues
+    p_j = k_j / m_j = 12 n^2 sin^2(theta_j / 2) / (2 + cos theta_j), ascending.
+    Node 0 couples to the block by r = beta (e_1 + c e_{n-1}), with
+    beta(lambda) = -n - lambda / (6n), so its weight on mode j is beta w_j,
+    w_j = sqrt(2/n) sin theta_j (1 - c (-1)^j).  g is taken in row-sum form:
+    the linear u_i = 1 + (c - 1) i / n satisfies the fold and
+    K u = (b1 + (c - 1)^2) e_0 exactly, so g(lambda) = b0 - lambda h(lambda),
+    b0 = b1 + (c - 1)^2, with
+    h(lambda) = (M u)_0 + (n + lambda / (6n)) sum_j a_j / (p_j - lambda),
+    a_j = w_j^2 / (k_j m_j).  Nothing in b0 cancels, so a zero near 0 keeps
+    its relative accuracy.  The live poles, a_j > 0, are g's poles; the
+    dead ones are eigenvalues."""
 
-    def __init__(self, op: DiscreteOperator, sigma: float):
-        K, M = op.K, op.M
+    def __init__(self, op: DiscreteOperator):
+        n, c = op.n, op.bc.c
+        self.op = op
+        half = np.arange(1, n) * (0.5 * math.pi / n)  # theta_j / 2
+        self.sin, self.cos = np.sin(half), np.cos(half)
+        self.den = 1.0 + 2.0 * self.cos ** 2  # 2 + cos theta_j = 3n m_j
+        self.poles = 12.0 * n * n * self.sin ** 2 / self.den
+        if op.first:
+            return
+        self.odd = np.arange(1, n) % 2 * 2.0 - 1.0  # -(-1)^j
         with np.errstate(over="ignore", invalid="ignore"):
-            d = K.diag - sigma * M.diag
-            e = K.off - sigma * M.off
-            finite = np.isfinite(d).all() and np.isfinite(e * e).all()
-        corner = K.corner - sigma * M.corner
-        if not (finite and math.isfinite(corner)):
-            raise DomainError(f"n = {op.n}, bc = {op.bc}, sigma = {sigma!r}: K - sigma M has "
-                              "an entry or a squared off-diagonal entry that is not finite")
-        self.n, self.sigma, self.T = op.n, sigma, (d[1:], e[1:])
-        r = np.zeros(op.dim - 1)
-        r[0], r[-1] = e[0], corner
-        if op.first:  # Dirichlet: the only linear w with w_0 = w_n = 0 is 0
-            a, s, w = d[0], r, 0.0
-        else:
-            c, b1 = op.bc.c, op.bc.b1
-            w = 1.0 + (c - 1.0) * np.arange(op.dim) / op.n
-            s = -sigma * M.dot(w)
-            s[0] += b1 + (c - 1.0) ** 2
-            a, s, w = s[0], s[1:], w[1:]
-        *self.factors, info = dgttrf(e[1:], d[1:], e[1:])
-        if info > 0:
-            raise FactorizationError(f"n = {op.n}, sigma = {sigma!r}: singular matrix")
-        y = dgttrs(*self.factors, s)[0]
-        self.schur = a - r @ y
-        self.z = y - w  # T^-1 r
-        self.r0, self.r1 = r[0], r[-1]
+            a = 6.0 / n * (1.0 + c * self.odd) ** 2 * self.cos ** 2 / self.den
+        # products, not powers, of Python floats overflow to inf without raising
+        self.b0 = op.bc.b1 + (c - 1.0) * (c - 1.0)
+        self.mu0 = (3.0 * (1.0 + c * c) - (c - 1.0) * (c - 1.0) / n) / (6.0 * n)  # (M u)_0
+        if not (np.isfinite(a).all() and math.isfinite(self.b0) and math.isfinite(self.mu0)):
+            raise DomainError(f"n = {n}, bc = {op.bc}: node 0's Schur complement overflows")
+        live = a > 0.0
+        self.live, self.a, self.dead = self.poles[live], a[live], self.poles[~live]
 
-    def count(self) -> int:
-        """The negative inertia of A: In(A) = In(T) + In(schur) (Haynsworth),
-        with LAPACK's Sturm count (dstebz: the eigenvalues of T in (-inf, 0],
-        its pivots guarded by pivmin) for In(T)."""
-        m, _, _, _, info = dstebz(*self.T, 1, -math.inf, 0.0, 0, 0, 1e300, "B")
-        if info != 0:
-            raise FactorizationError(f"n = {self.n}, sigma = {self.sigma!r}: dstebz info = {info}")
-        return m + int(self.schur < 0.0)
+    def g(self, lam: float) -> float:
+        n = self.op.n
+        s = float((self.a / (self.live - lam)).sum())
+        return self.b0 - lam * (self.mu0 + (n + lam / (6.0 * n)) * s)
 
-    def solve(self, B: np.ndarray) -> np.ndarray:
-        """A^-1 B for a block B: one dgttrs call, and node 0 from the Schur
-        complement."""
-        U = dgttrs(*self.factors, B[1:])[0]
-        X = np.empty_like(B)
-        X[0] = (B[0] - self.r0 * U[0] - self.r1 * U[-1]) / self.schur
-        X[1:] = U - self.z[:, None] * X[0]
-        return X
+    def count_below(self, sigma: float) -> int:
+        below = int(np.searchsorted(self.poles, sigma))
+        if self.op.first:
+            return below
+        if sigma in self.live:  # g passes from -inf to +inf
+            return below + 1
+        return below + int(self.g(sigma) < 0.0)
+
+    def zero(self, lo: float, hi: float) -> float:
+        """The zero of g in (lo, hi).  An end is 0, a bound on the spectrum or
+        a live pole, for which its float neighbour inside stands in; g changes
+        sign between a pole and that neighbour only when its zero lies
+        there, and the neighbour is then the zero."""
+        lo_pole, hi_pole = lo in self.live, hi in self.live
+        lo = math.nextafter(lo, math.inf) if lo_pole else lo
+        hi = math.nextafter(hi, -math.inf) if hi_pole else hi
+        f_lo, f_hi = self.g(lo), self.g(hi)
+        where = f"n = {self.op.n}, bc = {self.op.bc}: g({lo!r}) = {f_lo!r}, g({hi!r}) = {f_hi!r}"
+        if math.isfinite(f_lo) and math.isfinite(f_hi):
+            if f_lo > 0.0 > f_hi:
+                # down to adjacent floats, so that a zero near 0 keeps its relative accuracy
+                return bisect(self.g, Bracket(lo, hi, f_lo, f_hi), tol=math.ulp(0.0))
+            if lo_pole and f_hi < 0.0:  # and f_lo <= 0
+                return lo
+            if hi_pole and f_lo > 0.0:  # and f_hi >= 0
+                return hi
+            if max(abs(lo), abs(hi)) < sys.float_info.max:
+                raise SearchError(f"{where}: the zero of g between them is not certified")
+        raise DomainError(f"{where}: an eigenvalue lies outside the float range")
+
+
+def _dst(x: np.ndarray) -> np.ndarray:
+    """sum_i x_i sin(i theta_j) for j = 1..n-1, with x on nodes 1..n-1: the
+    DST-I, read off numpy's rfft of the odd extension (0, x, 0, -x reversed)."""
+    y = np.concatenate(([0.0], x, [0.0], -x[::-1]))
+    return -0.5 * np.fft.rfft(y)[1:-1].imag
 
 
 def count_below(op: DiscreteOperator, sigma: float) -> int:
-    """Number of eigenvalues of (K, M) below sigma: by Sylvester's law, the
-    negative inertia of K - sigma M."""
-    return _Shift(op, sigma).count()
+    """Number of eigenvalues of (K, M) below sigma, by Sylvester's law: the
+    poles below sigma, plus [g(sigma) < 0] after a fold, or 1 at a live pole,
+    where g passes from -inf to +inf."""
+    reject_nonfinite(sigma=sigma)
+    return _Spectrum(op).count_below(sigma)
 
 
 def resolvent_form(op: DiscreteOperator, sigma: float, b: np.ndarray) -> float:
-    """b^T (K - sigma M)^-1 b from one factored shift, whose inertia count
-    certifies K - sigma M positive definite; otherwise a DomainError naming sigma."""
+    """b^T (K - sigma M)^-1 b: sum_j (v_j^T b)^2 / (k_j - sigma m_j) over the
+    block's modes, plus node 0's share (b_0 - r^T T^-1 b)^2 / g(sigma) after
+    a fold.  A sigma at which K - sigma M is not positive definite (below
+    the lowest pole and, after a fold, g(sigma) > 0) is a DomainError naming
+    sigma."""
     b = np.asarray(b, dtype=float)
     if b.shape != (op.dim,):
         raise DomainError(f"b has shape {b.shape}; need ({op.dim},), one entry per node")
-    shift = _Shift(op, sigma)
-    below = shift.count()
-    if below > 0 or not shift.schur > 0.0:
+    reject_nonfinite(sigma=sigma)
+    spec = _Spectrum(op)
+    g = math.inf if op.first else spec.g(sigma)
+    if not (sigma < spec.poles[0] and g > 0.0):
         raise DomainError(f"n = {op.n}, bc = {op.bc}, sigma = {sigma!r}: K - sigma M is not "
-                          f"positive definite ({below} eigenvalues of (K, M) lie below sigma)")
-    return float(b @ shift.solve(b[:, None])[:, 0])
-
-
-def _slopes(op: DiscreteOperator, X: np.ndarray) -> tuple:
-    """x_0 and the slopes n (x_{i+1} - x_i) of every column x of X on nodes
-    first..n-1, with x_0 = 0 where node 0 is not kept, and x_n = c x_0."""
-    U = np.zeros((op.n + 1, X.shape[1]))
-    U[op.first:-1] = X
-    U[-1] = op.bc.c * U[0]
-    return U[0], op.n * np.diff(U, axis=0)
-
-
-def _stiffness(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
-    """K X in difference form: each row is a difference of two slopes (plus
-    b1 x_0 at node 0), so a smooth x loses nothing to the cancellation that
-    the bands' K x suffers.  The block keeps X's layout, on which the
-    rounding of V^T K V depends."""
-    x0, D = _slopes(op, X)
-    KX = np.empty_like(X, shape=(op.n, X.shape[1]))
-    KX[1:] = D[:-1] - D[1:]
-    KX[0] = op.bc.c * D[-1] - D[0] + op.bc.b1 * x0
-    return KX[op.first:]
-
-
-def _quotients(op: DiscreteOperator, X: np.ndarray) -> np.ndarray:
-    """Rayleigh quotient of each column of X, with the energy in difference
-    form, n sum (x_{i+1} - x_i)^2 + b1 x_0^2, over x^T M x."""
-    x0, D = _slopes(op, X)
-    energy = (D * D).sum(axis=0) / op.n + op.bc.b1 * x0 ** 2
-    return energy / (X * op.M.dot(X)).sum(axis=0)
-
-
-def _start(op: DiscreteOperator, p: int) -> np.ndarray:
-    """The first p Chebyshev polynomials on [0, 1], at the nodes."""
-    x = (np.arange(op.dim) + op.first) / op.n
-    return np.cos(np.outer(np.arccos(2.0 * x - 1.0), np.arange(p)))
-
-
-def _ritz(op: DiscreteOperator, k: int, poles: tuple) -> np.ndarray:
-    """k Ritz vectors of (K, M) for its k lowest eigenvalues.
-
-    `poles` is a pair of factored `_Shift`s, which may be one shift twice.
-    Restarted block Krylov on p = k + 2 vectors X: a cycle extends X by
-    blocks Op X, Op^2 X, ... up to 4p columns, where Op = (K - pole M)^-1 M
-    takes the two poles in turn.  Each new block is orthogonalized against
-    the basis (classical Gram-Schmidt, twice) and orthonormalized by
-    column-pivoted QR, which drops directions below 1e-12 of the block's
-    size, so a block shrinks as its directions converge.  A Rayleigh-Ritz
-    step on (K, M) then gives the next X.  The quotient error of a Ritz
-    vector x with residual r = K x - rho M x is about
-    r^T (K - poles[0] M)^-1 r, and the cycles stop when that is below
-    eps max(1, |rho|) for each of the k, when the basis spans an invariant
-    subspace or the space, or when a cycle no longer halves the largest
-    error."""
-    dim, M = op.dim, op.M
-    p = min(k + 2, dim)
-    width = min(dim, 4 * p)
-    X = _start(op, p)
-    last = math.inf
-    while True:
-        V = np.empty((dim, width), order="F")
-        MV = np.empty_like(V)
-        V[:, :p] = np.linalg.qr(X)[0]
-        MV[:, :p] = M.dot(V[:, :p])
-        lo = b = step = 0
-        m = p
-        while m < width:
-            W = poles[step % 2].solve(MV[:, lo:m])
-            step += 1
-            scale = np.abs(W).max()
-            for _ in range(2):
-                W -= V[:, :m] @ (V[:, :m].T @ W)
-            qr, _, tau, _, _ = dgeqp3(W)
-            b = min(int(np.count_nonzero(np.abs(np.diagonal(qr)) > 1e-12 * scale)), width - m)
-            if b == 0:
-                break
-            V[:, m:m + b] = dorgqr(qr[:, :b], tau[:b])[0]
-            MV[:, m:m + b] = M.dot(V[:, m:m + b])
-            lo, m = m, m + b
-        V, MV = V[:, :m], MV[:, :m]
-        KV = _stiffness(op, V)
-        try:
-            theta, S = scipy.linalg.eigh(V.T @ KV, V.T @ MV, subset_by_index=[0, p - 1],
-                                         check_finite=False)
-        except np.linalg.LinAlgError as error:
-            raise FactorizationError(f"n = {op.n}, bc = {op.bc}: the Krylov basis lost its "
-                                     f"rank ({error})") from None
-        X = V @ S
-        R = KV @ S[:, :k] - (MV @ S[:, :k]) * theta[:k]
-        err = (R * poles[0].solve(R)).sum(axis=0) / np.maximum(1.0, np.abs(theta[:k]))
-        if err.max() <= np.finfo(float).eps or b == 0 or m == dim or err.max() > 0.5 * last:
-            return X[:, :k]
-        last = err.max()
+                          f"positive definite ({spec.count_below(sigma)} eigenvalues of (K, M) "
+                          "lie below sigma)")
+    n = op.n
+    scale = math.sqrt(2.0 / n)
+    mu = 4.0 * n * spec.sin ** 2 - sigma * spec.den / (3.0 * n)  # k_j - sigma m_j
+    vb = scale * _dst(b if op.first else b[1:])
+    form = float(np.sum(vb * vb / mu))
+    if op.first:
+        return form
+    w = 2.0 * scale * spec.sin * spec.cos * (1.0 + op.bc.c * spec.odd)
+    rb = (-n - sigma / (6.0 * n)) * float(np.sum(w * vb / mu))  # r^T T^-1 b
+    return form + (b[0] - rb) ** 2 / g
 
 
 def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:
     """k smallest generalized eigenvalues of (K, M), ascending.
 
-    The shift sigma is stepped down from -1 until no eigenvalue lies below
-    it, each shift factored once for its count; `_ritz` then gives k Ritz
-    vectors from a fixed start, so that equal calls give equal results, with
-    the last shift and the one at -1 as poles (one shift twice if sigma
-    never moved).
-    Each eigenvalue is the Rayleigh quotient of its vector with the energy
-    in difference form, and each, lambda_j, is enclosed by inertia counts:
-    at most j - 1 eigenvalues lie below lambda_j - delta and at least j
-    below lambda_j + delta."""
+    Under Dirichlet they are the k lowest poles.  After a fold they are the
+    k lowest of the dead poles and the zeros of g, one between each pair of
+    consecutive live poles, one above the last, and the bottom below the
+    first: in (0, first live pole) when g(0) = b0 > 0, exactly 0 when
+    b0 = 0, and otherwise above the bound below, in (L, 0).  By
+    u^T K u >= b1 u_0^2 and u^T M u >= u_0^2 / (6n) the spectrum lies in
+    [6n min(b1, 0), 12 n^2 + 6n max(b1, 0)]; L and the top's upper end take
+    twice that, within the float range."""
     reject_noninteger(k=k)
     if not 1 <= k < op.dim:
         raise DomainError(f"k = {k}: need 1 <= k < dim = {op.dim}")
-    first = shift = _Shift(op, -1.0)
-    # ends at a finite shift: the square of sigma M's off-diagonal leaves the
-    # float range long before sigma does, and _Shift raises there
-    while shift.count() > 0:
-        shift = _Shift(op, 4.0 * shift.sigma)
-    w = np.sort(_quotients(op, _ritz(op, k, (shift, first))))
-    for j, lam in enumerate(w.tolist(), start=1):
-        delta = 1e-9 * max(1.0, abs(lam))
-        below, above = count_below(op, lam - delta), count_below(op, lam + delta)
-        if below > j - 1 or above < j:
-            raise SearchError(
-                f"n = {op.n}, bc = {op.bc}: eigenvalue {j} = {lam!r} is not certified: "
-                f"{below} eigenvalues below lambda - delta (want <= {j - 1}), "
-                f"{above} below lambda + delta (want >= {j})")
-    return w
+    spec = _Spectrum(op)
+    if op.first:
+        return spec.poles[:k].copy()
+    n, b1, top = op.n, op.bc.b1, sys.float_info.max
+    if spec.b0 == 0.0:
+        zeros = [0.0]
+    else:
+        zeros = [spec.zero(0.0, spec.live[0]) if spec.b0 > 0.0
+                 else spec.zero(max(12.0 * n * b1, -top), 0.0)]
+    ends = spec.live.tolist() + [min(24.0 * n * n + 12.0 * n * max(b1, 0.0), top)]
+    for lo, hi in zip(ends, ends[1:]):
+        if np.count_nonzero(spec.dead < lo) + len(zeros) >= k:  # all those below lo are known
+            break
+        zeros.append(spec.zero(lo, hi))
+    return np.sort(np.concatenate((zeros, spec.dead)))[:k]
 
 
 def discrete_bottom(op: DiscreteOperator) -> float:

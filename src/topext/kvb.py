@@ -246,9 +246,14 @@ def is_top_extension(T: ExtensionParameter, tq: TqResult) -> Union[bool, np.ndar
 
 
 def krein_bound(m_S: float, m_T: float) -> float:
-    """Certified lower bound m(S) m(T) / (m(S) + m(T)) for m(S_T)."""
+    """Certified lower bound m(S) m(T) / (m(S) + m(T)) for m(S_T).
+
+    It is taken as small / (1 + small / big), where big is whichever of
+    m(S), m(T) has the larger magnitude: the ratio lies in (-1, 1], so
+    neither it nor a product of the two overflows."""
     if not (-math.inf < m_S < math.inf and -math.inf < m_T < math.inf):
         raise DomainError(f"m_S = {m_S!r}, m_T = {m_T!r}: finite numbers are required")
     if m_T <= -m_S:
         raise HypothesisViolatedError(f"need m(T) > -m(S), got {m_T} <= {-m_S}")
-    return m_S * m_T / (m_S + m_T)
+    small, big = sorted((m_S, m_T), key=abs)
+    return small / (1.0 + small / big)

@@ -5,17 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 from scipy.optimize import brentq
 from hypothesis import assume, given, settings, strategies as st
 
-from topext import fem, interval
+from topext import fem, interval, numerics
 from topext.fem import AntiPeriodicRobin, Periodic, UnsupportedBCError
 from topext.interval import BoundaryCondition
-from topext.numerics import DomainError, FactorizationError, SearchError, integrate
+from topext.numerics import DomainError, SearchError, integrate
 
 PI2 = math.pi ** 2
 SRC = str(Path(fem.__file__).resolve().parents[1])
@@ -126,20 +126,28 @@ class TestAssembly:
         with pytest.raises(DomainError, match=f"^b1 is {b}"):
             fem.assemble(100, AntiPeriodicRobin(b))
 
-    def test_shift_overflow_is_a_domain_error(self):
-        # the shift is stepped down by factors of 4 until nothing is counted
-        # below it; at these b1 the square of K - sigma M's off-diagonal
-        # overflows first, which the count names without a warning
-        for b1 in (-2.1e154, -1e300):
-            message = rf"^n = 100, bc = .*{re.escape(repr(b1))}.*sigma = -.*is not finite"
-            with pytest.raises(DomainError, match=message):
-                fem.discrete_bottom(fem.assemble(100, AntiPeriodicRobin(b1)))
-
     def test_large_negative_robin_parameter_is_solved(self):
-        # short of that overflow the counts hold and the bottom is finite;
-        # its eigenvector sits on node 0, where b1 enters the stiffness
+        # the bottom's eigenvector sits on node 0, where b1 enters the
+        # stiffness: the bottom is b1 (M^-1)_00 = b1 sqrt(3) n to leading order
         assert fem.discrete_bottom(fem.assemble(100, AntiPeriodicRobin(-1e150))) == pytest.approx(
             -1.732050807568877e152, rel=1e-12)
+        for b1 in (-2.1e154, -1e300):
+            bottom = fem.discrete_bottom(fem.assemble(100, AntiPeriodicRobin(b1)))
+            assert bottom == pytest.approx(math.sqrt(3.0) * 100 * b1, rel=1e-12)
+
+    def test_bottom_beyond_the_float_range_is_a_domain_error(self):
+        # sqrt(3) n b1 is below -1.8e308: the bound the bottom's search starts
+        # from is the largest finite float, and g is already negative there
+        message = r"^n = 100, bc = .*b1=-1\.797e\+308.*outside the float range"
+        with pytest.raises(DomainError, match=message):
+            fem.discrete_bottom(fem.assemble(100, AntiPeriodicRobin(-1.797e308)))
+
+    def test_overflowing_coupling_is_a_domain_error(self):
+        # c^2 leaves the float range in node 0's Schur complement
+        bc = BoundaryCondition.one_dim_a(0.0, 1e160)
+        message = rf"^n = 100, bc = {re.escape(str(bc))}: node 0's Schur complement overflows"
+        with pytest.raises(DomainError, match=message):
+            fem.lowest_eigenvalues(fem.assemble(100, bc), 1)
 
     def test_named_conditions_are_one_dim_a(self):
         assert Periodic() == BoundaryCondition.one_dim_a(0.0, 1.0)
@@ -166,20 +174,10 @@ class TestAssembly:
         assert np.array_equal(K_op, K[1:-1, 1:-1])
         assert np.array_equal(M_op, M[1:-1, 1:-1])
 
-    def test_bands_dot_equals_dense_product(self):
-        X = np.random.default_rng(1).standard_normal((64, 3))
-        for bc in BCS:
-            op = fem.assemble(64 + (bc.variant == "dirichlet"), bc)  # dim = 64
-            for B in (op.K, op.M):
-                A = dense_bands(B)
-                for Y in (X, X[:, 0]):  # a block and a vector
-                    bound = 1e-14 * (np.abs(A) @ np.abs(Y))
-                    assert np.all(np.abs(B.dot(Y) - A @ Y) <= bound), bc
-
-    def test_import_loads_no_sparse_module(self):
-        # the oracle reads the bands alone: neither scipy.sparse nor ARPACK
-        code = ("import sys; import topext.fem; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    def test_import_loads_no_scipy(self):
+        # the oracle and the verification matrix run on numpy alone
+        code = ("import sys; import topext.verify; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.strip() == "[]"
@@ -215,7 +213,7 @@ class TestFormConsistency:
         gp = lambda t: (-math.pi * np.sin(math.pi * t)
                         + 0.9 * math.pi * np.cos(3.0 * math.pi * t))
         u = g(x[:-1])  # folded: last node = -first
-        discrete = u @ op.K.dot(u)
+        discrete = u @ dense(op)[0] @ u
         # n panels of 2 nodes: the panels align with the elements
         exact = integrate(lambda t: gp(t) ** 2, 0.0, 1.0, n, 2) + b * g(0.0) ** 2
         assert abs(discrete - exact) < 1e-3 * max(1.0, abs(exact))
@@ -226,7 +224,7 @@ class TestFormConsistency:
         op = fem.assemble(n, AntiPeriodicRobin(b))
         x = np.linspace(0.0, 1.0, n + 1)
         u = 1.0 - 2.0 * x[:-1]
-        assert abs(u @ op.K.dot(u) - (4.0 + b)) < 1e-10
+        assert abs(u @ dense(op)[0] @ u - (4.0 + b)) < 1e-10
 
 
 class TestDiscreteBottoms:
@@ -290,7 +288,7 @@ class TestDiscreteBottoms:
         assert len(fem.lowest_eigenvalues(op, op.dim - 1)) == op.dim - 1
 
 
-class TestSparseSolver:
+class TestSecularSolver:
     @pytest.mark.parametrize("n", [9, 64, 200])
     @pytest.mark.parametrize("bc", BCS, ids=str)
     def test_equals_dense_eigh(self, bc, n):
@@ -303,27 +301,23 @@ class TestSparseSolver:
 
     @pytest.mark.parametrize("n", [64, 512])
     def test_strongly_negative_robin_excited_levels(self, n):
-        # the bottom, below -1e5, sets the shift far below the other
-        # eigenvalues; the solver also steps at -1 to separate them
+        # the bottom, below -1e5, lies far below the other eigenvalues, which
+        # lie between the poles of g
         op = fem.assemble(n, BoundaryCondition.one_dim_a(-1000.0, -0.5))
         ref = scipy.linalg.eigh(*dense(op), eigvals_only=True)
         w = fem.lowest_eigenvalues(op, 4)
         assert ref[0] < -1e5 and 0.0 < ref[1]
         assert np.allclose(w, ref[:4], rtol=1e-9, atol=1e-9), w - ref[:4]
 
-    def test_extreme_robin_parameter_is_solved_or_named(self):
+    def test_extreme_robin_parameter_is_solved(self):
         # at b1 = -1e12 node 0's stiffness is 1e12 against 2n elsewhere; the
-        # solver may fail there, but only with an error that names the input
+        # 40-digit references below check the values at n = 64
         op = fem.assemble(512, BoundaryCondition.one_dim_a(-1e12, -1.0))
-        try:
-            w = fem.lowest_eigenvalues(op, 4)
-        except (SearchError, FactorizationError) as error:
-            assert str(error).startswith("n = 512, bc = "), error
-        else:
-            for j, lam in enumerate(w, start=1):
-                delta = 1e-9 * max(1.0, abs(lam))
-                assert fem.count_below(op, lam - delta) <= j - 1
-                assert fem.count_below(op, lam + delta) >= j
+        w = fem.lowest_eigenvalues(op, 4)
+        for j, lam in enumerate(w, start=1):
+            delta = 1e-9 * max(1.0, abs(lam))
+            assert fem.count_below(op, lam - delta) <= j - 1
+            assert fem.count_below(op, lam + delta) >= j
 
     @pytest.mark.parametrize("bc", BCS, ids=str)
     def test_count_equals_dense_count(self, bc):
@@ -336,7 +330,7 @@ class TestSparseSolver:
     @pytest.mark.parametrize("bc", BCS, ids=str)
     def test_count_at_split_and_near_eigenvalue_shifts(self, bc, n):
         # at sigma = -6 n^2 the off-diagonal -n - sigma / (6 n) of K - sigma M
-        # vanishes, so near it LAPACK's Sturm count splits T into blocks; at
+        # vanishes, and with it node 0's coupling to the block; at
         # lambda_j (1 -+ 1e-10) the count must still separate lambda_j
         op = fem.assemble(n, bc)
         ref = scipy.linalg.eigh(*dense(op), eigvals_only=True)
@@ -401,51 +395,33 @@ class TestSparseSolver:
         assert fem.discrete_bottom(fem.assemble(2000, bc)) == first
         assert fem.discrete_bottom(fem.assemble(2000, bc)) == first
 
-    @pytest.mark.parametrize("n, bc, k, eliminations", [
-        (2000, AntiPeriodicRobin(-1.0), 1, 3),
-        (400, AntiPeriodicRobin(-10.0), 3, 10),
-        (500, Periodic(), 6, 13),
-    ], ids=["bottom", "robin-step-down", "periodic"])
-    def test_each_shift_is_eliminated_once(self, monkeypatch, n, bc, k, eliminations):
-        # one tridiagonal elimination (a dgttrf) per shift serves its count
-        # and its solves: the step-down's shifts -1, -4, ... (the last and
-        # the first are the Krylov poles), then two counts per certified
-        # eigenvalue
-        op = fem.assemble(n, bc)
-        shifts = 1
-        while fem.count_below(op, -4.0 ** (shifts - 1)) > 0:
-            shifts += 1
+    @pytest.mark.parametrize("n, bc, k, searches", [
+        (2000, AntiPeriodicRobin(-1.0), 1, 1),
+        (400, AntiPeriodicRobin(-10.0), 3, 2),
+        (500, Periodic(), 6, 3),
+        (500, BoundaryCondition.one_dim_a(0.5, 0.3), 6, 6),
+    ], ids=["bottom", "robin", "periodic", "no-dead-pole"])
+    def test_one_search_per_zero(self, monkeypatch, n, bc, k, searches):
+        # one Brent search per zero of g that the k lowest need: the dead
+        # poles (odd j for c = -1, even j for c = 1) and Periodic's bottom,
+        # g(0) = 0, take none
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return scipy.linalg.lapack.dgttrf(*args, **kwargs)
+        def counted(f, bracket, tol):
+            calls.append(bracket)
+            return numerics.bisect(f, bracket, tol)
 
-        monkeypatch.setattr(fem, "dgttrf", counted)
-        fem.lowest_eigenvalues(op, k)
-        assert len(calls) == shifts + 2 * k == eliminations
-
-    def test_singular_block_is_a_factorization_error(self):
-        # K = M = 0: the block T on nodes 1..dim-1 has no pivot at all
-        zero = fem.Bands(np.zeros(7), np.zeros(6), 0.0)
-        op = fem.DiscreteOperator(8, BoundaryCondition.dirichlet(), zero, zero)
-        with pytest.raises(FactorizationError, match=r"^n = 8, sigma = 0\.5: singular matrix"):
-            fem.count_below(op, 0.5)
-
-    def test_sturm_count_failure_is_a_factorization_error(self, monkeypatch):
-        # LAPACK's dstebz returns (m, w, iblock, isplit, info)
-        monkeypatch.setattr(fem, "dstebz", lambda *args: (0, None, None, None, -3))
-        op = fem.assemble(8, Periodic())
-        with pytest.raises(FactorizationError, match=r"^n = 8, sigma = 0\.5: dstebz info = -3"):
-            fem.count_below(op, 0.5)
+        monkeypatch.setattr(fem, "bisect", counted)
+        fem.lowest_eigenvalues(fem.assemble(n, bc), k)
+        assert len(calls) == searches
 
     def test_certificate_failure_names_the_solve(self, monkeypatch):
+        # a g that never changes sign: the bottom's bracket [0, first pole)
+        # is not certified
+        monkeypatch.setattr(fem._Spectrum, "g", lambda self, lam: -1.0)
         op = fem.assemble(100, AntiPeriodicRobin(0.5))
-        true_count = fem.count_below
-        # a count that misses the lowest eigenvalue
-        monkeypatch.setattr(fem, "count_below",
-                            lambda op, sigma: max(0, true_count(op, sigma) - 1))
-        with pytest.raises(SearchError, match=r"n = 100, .*b1=0\.5.*eigenvalue 1 = "):
+        with pytest.raises(SearchError, match=r"^n = 100, .*b1=0\.5.*: g\(0\.0\) = -1\.0, .*"
+                                              r"the zero of g between them is not certified"):
             fem.lowest_eigenvalues(op, 2)
 
 
@@ -469,6 +445,81 @@ class TestResolventForm:
             fem.resolvent_form(op, 0.0, np.ones(40))
 
 
+def exact_pencil(n, bc):
+    """The folded pencil (K, M) on nodes 0..n-1 as mpmath matrices, its
+    entries exact at mpmath's precision (K: 2n, -n; M: 2/(3n), 1/(6n))."""
+    c, b1 = mpmath.mpf(bc.c), mpmath.mpf(bc.b1)
+    K, M = mpmath.zeros(n), mpmath.zeros(n)
+    for i in range(n):
+        K[i, i], M[i, i] = 2 * n, mpmath.mpf(2) / (3 * n)
+        if i:
+            K[i, i - 1] = K[i - 1, i] = -n
+            M[i, i - 1] = M[i - 1, i] = mpmath.mpf(1) / (6 * n)
+    K[0, 0], M[0, 0] = n + c * c * n + b1, (1 + c * c) / (3 * n)
+    K[0, n - 1] = K[n - 1, 0] = -c * n
+    M[0, n - 1] = M[n - 1, 0] = c / (6 * n)
+    return K, M
+
+
+def exact_eigenvalues(K, M):
+    """The eigenvalues of the pencil (K, M), ascending: M = L L^T and
+    mpmath.eigsy of L^-1 K L^-T.  Each triangular solve reads only L's
+    nonzeros, listed once per row (M is tridiagonal plus a corner)."""
+    N = K.rows
+    L = mpmath.cholesky(M)
+    nonzero = [[j for j in range(i) if L[i, j] != 0] for i in range(N)]
+
+    def solve(b):
+        x = []
+        for i in range(N):
+            x.append((b[i] - mpmath.fsum(L[i, j] * x[j] for j in nonzero[i])) / L[i, i])
+        return x
+
+    Y = [solve([K[i, j] for i in range(N)]) for j in range(N)]  # Y[j]: column j of L^-1 K
+    C = mpmath.matrix([solve([Y[j][i] for j in range(N)]) for i in range(N)])
+    return sorted(mpmath.eigsy(C, eigvals_only=True))
+
+
+class TestFortyDigitReferences:
+    """The secular solve against 40-digit references on the exact pencil,
+    computed without its closed forms."""
+
+    @pytest.mark.parametrize("bc", [
+        BoundaryCondition.one_dim_a(-1e12, 1.0), BoundaryCondition.one_dim_a(-1e9, 0.3),
+        BoundaryCondition.one_dim_a(-1e4, -1.0), Periodic()], ids=str)
+    def test_lowest_eigenvalues(self, bc):
+        with mpmath.workdps(40):
+            ref = exact_eigenvalues(*exact_pencil(64, bc))[:3]
+        w = fem.lowest_eigenvalues(fem.assemble(64, bc), 3)
+        for lam, exact in zip(w.tolist(), ref):
+            if bc == Periodic() and exact is ref[0]:
+                # K 1 = 0: the exact bottom is 0, which the solve returns
+                assert lam == 0.0 and abs(exact) < 1e-30
+            else:
+                assert abs(lam - exact) <= 1e-14 * abs(exact), (lam, exact)
+
+    @pytest.mark.parametrize("mu", [-150.0, 9.0, PI2])
+    def test_resolvent_form(self, mu):
+        # variational-sup's load v(x_i) / n, v = 1 - 2x, on the Dirichlet
+        # pencil at n = 500; T = K - mu M is solved by elimination at 40 digits
+        n = 500
+        b = (1.0 - 2.0 * np.arange(1, n) / n) / n
+        with mpmath.workdps(40):
+            m = mpmath.mpf(mu)
+            diag, off = 2 * n - m * 2 / (3 * n), -n - m / (6 * n)
+            pivots, y = [diag], [mpmath.mpf(b[0])]
+            for i in range(1, n - 1):
+                ratio = off / pivots[-1]
+                pivots.append(diag - ratio * off)
+                y.append(b[i] - ratio * y[-1])
+            x = [y[-1] / pivots[-1]]
+            for i in range(n - 3, -1, -1):
+                x.append((y[i] - off * x[-1]) / pivots[i])
+            exact = mpmath.fsum(bi * xi for bi, xi in zip(b.tolist(), reversed(x)))
+        form = fem.resolvent_form(fem.assemble(n, BoundaryCondition.dirichlet()), mu, b)
+        assert abs(form - exact) <= 1e-14 * exact, (form, exact)
+
+
 # every n in 16..40, and the large grids where the parent solver's
 # certificate failed for Periodic() or AntiPeriodicRobin(-4)
 SAMPLED_GRIDS = list(range(16, 41)) + [1024, 1500, 1555, 1800, 1950, 2000, 2050, 2100, 2400,
@@ -484,7 +535,8 @@ class TestExactBottoms:
     @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), Periodic(),
                                     AntiPeriodicRobin(0.0), AntiPeriodicRobin(-4.0)], ids=str)
     def test_certified_at_every_sampled_grid(self, bc):
-        # discrete_bottom raises SearchError unless the counts enclose it
+        # discrete_bottom raises SearchError unless the signs of g at its
+        # bracket's ends certify it
         for n in SAMPLED_GRIDS:
             fem.discrete_bottom(fem.assemble(n, bc))
 

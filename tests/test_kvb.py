@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -353,6 +355,16 @@ class TestKreinBound:
     def test_limits(self, m_S, m_T, error, match):
         with pytest.raises(error, match=match):
             krein_bound(m_S, m_T)
+
+    @pytest.mark.parametrize("m_S, m_T", [(12.0, 1.797e308), (1e300, 1e300), (1e300, 1e-300),
+                                          (3.0, -1.0), (-1.0, 2.0), (5.0, -4.999999999)])
+    def test_exact_where_the_product_overflows(self, m_S, m_T):
+        # the bound lies below m_S (or is negative for m_T in (-m_S, 0)), even
+        # where m_S m_T leaves the float range
+        exact = Fraction(m_S) * Fraction(m_T) / (Fraction(m_S) + Fraction(m_T))
+        bound = krein_bound(m_S, m_T)
+        assert math.isfinite(bound) and (bound < 0.0) == (exact < 0)
+        assert abs(Fraction(bound) - exact) <= 2 * Fraction(math.ulp(float(exact)))
 
     def test_below_min(self):
         rng = np.random.default_rng(5)

@@ -5,11 +5,17 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
-from topext import cli, interval, kvb, point, verify
+import topext
+from topext import cli, fem, interval, kvb, point, verify
+from topext.interval import BoundaryCondition
 from topext.coulomb import alpha_threshold, classify_coulomb, coulomb_eigenvalue, script_F
 from topext.numerics import DomainError
 
@@ -221,3 +227,64 @@ def test_cli_answers_or_names_its_input(argv):
         else:
             assert any(re.search(rf"\b{name}\b", err.getvalue()) for name in names), \
                 err.getvalue()
+
+
+# b1 edges where the FEM oracle once failed: -1e12 and -1e13 (a failed
+# factorization or certificate), 1e250 and 1e300 (a solve that never
+# returned) and 1.797e308 (an abort of the interpreter)
+FEM_EDGES = (-1e13, -1e12, -1e150, 1e30, 1e50, 1e200, 1e250, 1e300, 1.797e308)
+FEM_COUPLINGS = (-1.0, 0.0, 0.3, 1.0, 2.0)
+FEM_DRAWS = f"""
+import json
+from hypothesis import given, settings, strategies as st
+from topext import fem
+from topext.interval import BoundaryCondition
+
+def report(n, b1, c, k):
+    try:
+        op = fem.assemble(n, BoundaryCondition.one_dim_a(b1, c))
+        line = {{"values": fem.lowest_eigenvalues(op, k).tolist()}}
+    except Exception as error:
+        line = {{"error": type(error).__module__, "message": str(error)}}
+    print(json.dumps({{"n": n, "b1": b1, "c": c, "k": k, **line}}), flush=True)
+
+for i, b1 in enumerate({FEM_EDGES!r}):
+    for j, c in enumerate({FEM_COUPLINGS!r}):
+        report(8 + 31 * (5 * i + j) % 249, b1, c, 1 + (i + j) % 3)
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(n=st.integers(8, 256), k=st.integers(1, 3), c=st.sampled_from({FEM_COUPLINGS!r}),
+       b1=st.one_of(st.sampled_from({FEM_EDGES!r}),
+                    st.floats(allow_nan=False, allow_infinity=False)))
+def draw(n, b1, c, k):
+    report(n, b1, c, k)
+
+draw()
+"""
+
+
+def test_fem_eigenvalues_are_certified_or_named():
+    # every draw, run in one child process so that an abort or a hang shows
+    # as a failure that prints the draws before it: k finite ascending
+    # eigenvalues, each enclosed by counts at +-1e-9 relative, or an error
+    # of topext whose message names n and the condition
+    src = str(Path(topext.__file__).resolve().parents[1])
+    try:
+        out = subprocess.run([sys.executable, "-c", FEM_DRAWS], capture_output=True, text=True,
+                             timeout=60, env={**os.environ, "PYTHONPATH": src})
+    except subprocess.TimeoutExpired as expired:
+        raise AssertionError(f"the draws did not finish:\n{(expired.stdout or b'').decode()}")
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
+    draws = [json.loads(line) for line in out.stdout.splitlines()]
+    assert {d["b1"] for d in draws} >= set(FEM_EDGES) and len(draws) > 150
+    for d in draws:
+        bc = BoundaryCondition.one_dim_a(d["b1"], d["c"])
+        if "error" in d:
+            assert d["error"].startswith("topext."), d
+            assert f"n = {d['n']}, bc = {bc}" in d["message"], d
+            continue
+        op, w = fem.assemble(d["n"], bc), d["values"]
+        assert len(w) == d["k"] and all(map(math.isfinite, w)) and w == sorted(w), d
+        for j, lam in enumerate(w, start=1):
+            delta = 1e-9 * max(1.0, abs(lam))
+            assert fem.count_below(op, lam - delta) <= j - 1 < fem.count_below(op, lam + delta), d
