@@ -11,7 +11,7 @@ F_nu(E) = alpha built from the digamma function.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,17 +32,41 @@ def alpha_threshold(nu: float) -> float:
     return threshold
 
 
-def script_F(nu: float, E: float) -> float:
-    """Eigenvalue function F_nu(E) for finite nu > 0 and E < 0."""
+def script_F(nu: float, E: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """Eigenvalue function F_nu(E) for finite nu > 0 and E < 0.
+
+    E is a float, or an ndarray for which F_nu is taken entrywise in one
+    pass.  An E that is not finite and negative, or one where F_nu is not
+    finite (it overflows a float for huge nu), is a DomainError naming nu
+    and the first such E."""
     if not 0.0 < nu < math.inf:
         raise DomainError(f"nu is {nu}; a finite positive number is required")
+    if isinstance(E, np.ndarray):
+        bad = ~((-math.inf < E) & (E < 0.0))
+        if bad.any():
+            E = float(E.flat[bad.argmax()])
+            raise DomainError(f"E is {E}; script_F is defined for finite E < 0 only")
+        with np.errstate(over="ignore"):  # an overflow is the DomainError below
+            F = _F(nu, np.sqrt(-E), np.log)
+        bad = ~np.isfinite(F)
+        if bad.any():
+            E = float(E.flat[bad.argmax()])
+            raise DomainError(f"nu = {nu!r}, E = {E!r}: F_nu(E) overflows a float")
+        return F
     if not -math.inf < E < 0.0:
         raise DomainError(f"E is {E}; script_F is defined for finite E < 0 only")
-    s = math.sqrt(-E)
+    F = _F(nu, math.sqrt(-E), math.log)
+    if not math.isfinite(F):
+        raise DomainError(f"nu = {nu!r}, E = {E!r}: F_nu(E) overflows a float")
+    return F
+
+
+def _F(nu, s, log):
+    """F_nu(-s^2), with log the float or the array logarithm."""
     # s/(4 pi) stays outside the nu/(4 pi) factor: s/nu overflows for tiny nu
     return nu / (4.0 * math.pi) * (
         digamma(1.0 + nu / (2.0 * s))
-        + math.log(2.0 * s)
+        + log(2.0 * s)
         + 2.0 * EULER_GAMMA
         - 1.0
     ) - s / (4.0 * math.pi)
@@ -51,9 +75,9 @@ def script_F(nu: float, E: float) -> float:
 def count_sign_changes(nu: float, alphas: Sequence[float]) -> List[int]:
     """Sign changes of F_nu(-s^2) - alpha, for each alpha, on a geometric grid
     of 200 points per decade in s = sqrt(-E) over [1e-6, 1e4], i.e. E in
-    [-1e8, -1e-12].  F_nu is evaluated on the grid once for all alphas."""
+    [-1e8, -1e-12].  F_nu is evaluated on the grid in one call for all alphas."""
     grid = np.geomspace(1e-6, 1e4, 2001)
-    F = np.array([script_F(nu, -s * s) for s in grid])
+    F = script_F(nu, -grid * grid)
     counts = []
     for alpha in alphas:
         signs = np.sign(F - alpha)

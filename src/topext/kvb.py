@@ -224,10 +224,11 @@ def _decided(top: np.ndarray) -> Union[bool, np.ndarray]:
 
 def is_top_extension(T: ExtensionParameter, tq: TqResult) -> Union[bool, np.ndarray]:
     """T >= q on D(T): T is Friedrichs, or D(T) lies in V and T - q is PSD
-    there (boundary included), to within TOL max(||T||, ||q_D||).  For a
-    family of m forms it decides each member alone and returns a bool array
-    of shape (m,).  D(T) outside V gives False when every level is m(S), and
-    a CriterionViolatedError when one is below m(S): q_mu is undefined off V."""
+    there (boundary included), to within TOL times the largest |entry| of T
+    and of q on D(T).  For a family of m forms it decides each member alone
+    and returns a bool array of shape (m,).  D(T) outside V gives False when
+    every level is m(S), and a CriterionViolatedError when one is below m(S):
+    q_mu is undefined off V."""
     q = tq.q_matrix
     if T.is_friedrichs:
         return _decided(np.ones(q.shape[:-2], dtype=bool))
@@ -241,7 +242,9 @@ def is_top_extension(T: ExtensionParameter, tq: TqResult) -> Union[bool, np.ndar
             return _decided(np.zeros(q.shape[:-2], dtype=bool))
         raise CriterionViolatedError("D(T) is not in V; weighted_gram is undefined on it")
     q_D = C.T @ q @ C
-    scale = np.maximum(np.linalg.norm(T.T_matrix), np.linalg.norm(q_D, axis=(-2, -1)))
+    # largest |entries|, not Frobenius norms, which square them and overflow
+    scale = np.maximum(np.abs(T.T_matrix).max(initial=0.0),
+                       np.abs(q_D).max(axis=(-2, -1), initial=0.0))
     return is_psd(T.T_matrix - q_D + (TOL * scale)[..., None, None] * np.eye(D.shape[1]))
 
 

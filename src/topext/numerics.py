@@ -27,10 +27,6 @@ class EvaluationError(ArithmeticError):
     """A sampled function value came back non-finite."""
 
 
-class FactorizationError(ArithmeticError):
-    """A matrix factorization failed (e.g. Cholesky of a non-PD matrix)."""
-
-
 class SearchError(RuntimeError):
     """A root search exhausted its budget or missed its residual tolerance."""
 
@@ -180,8 +176,14 @@ _PSI_ASYMP = (
 _PSI_SHIFT = 10.0
 
 
-def digamma(z: float) -> float:
-    """psi(z) for z > 0 via upward recurrence plus an asymptotic series."""
+def digamma(z: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """psi(z) for z > 0 via upward recurrence plus an asymptotic series.
+
+    z is a float, or an ndarray for which psi is taken entrywise: each entry
+    goes through the float path's steps, with numpy's log for math.log, and
+    the first entry that is not > 0 is named in the DomainError."""
+    if isinstance(z, np.ndarray):
+        return _digamma_array(z)
     if not z > 0:
         raise DomainError(f"digamma needs z > 0, got {z}")
     acc = 0.0
@@ -195,6 +197,27 @@ def digamma(z: float) -> float:
         tail += c * power
         power *= inv2
     return acc + math.log(z) - 0.5 / z + tail
+
+
+def _digamma_array(z: np.ndarray) -> np.ndarray:
+    z = np.array(z, dtype=float)  # a copy: the recurrence shifts it in place
+    bad = ~(z > 0)
+    if bad.any():
+        raise DomainError(f"digamma needs z > 0, got {float(z.flat[bad.argmax()])}")
+    acc = np.zeros_like(z)
+    low = z < _PSI_SHIFT
+    while low.any():  # the recurrence, masked to the entries still below the shift
+        acc[low] -= 1.0 / z[low]
+        z[low] += 1.0
+        low = z < _PSI_SHIFT
+    with np.errstate(over="ignore"):  # z*z is inf above 1.3e154, as for floats
+        inv2 = 1.0 / (z * z)
+    tail = np.zeros_like(z)
+    power = inv2
+    for c in _PSI_ASYMP:
+        tail += c * power
+        power = power * inv2
+    return acc + np.log(z) - 0.5 / z + tail
 
 
 def _as_symmetric(A: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,21 @@ class TestScriptF:
     def test_domain(self, nu, E, match):
         with pytest.raises(DomainError, match=match):
             script_F(nu, E)
+        with pytest.raises(DomainError, match=match):
+            script_F(nu, np.array([-2.0, E, 1.0]))
+
+    @pytest.mark.parametrize("nu, finite, E", [(1e200, [-1e-100], -1e-300),
+                                               (1.7e308, [], -1.0)])
+    def test_overflow_is_a_domain_error(self, nu, finite, E):
+        # nu/(2 s), or the nu/(4 pi) product, overflows; F is never returned inf.
+        # An array names its first such E
+        match = "^" + re.escape(f"nu = {nu!r}, E = {E!r}: F_nu(E) overflows a float") + "$"
+        with pytest.raises(DomainError, match=match):
+            script_F(nu, E)
+        if finite:
+            assert math.isfinite(script_F(nu, finite[0]))
+        with pytest.raises(DomainError, match=match):
+            script_F(nu, np.array(finite + [E, -1e-300]))
 
 
 class TestEigenvalue:
@@ -82,6 +98,11 @@ class TestEigenvalue:
     def test_unique_sign_change(self):
         for nu in NUS:
             assert count_sign_changes(nu, [alpha_threshold(nu) - d for d in (0.1, 1.0)]) == [1, 1]
+
+    def test_probe_at_huge_nu_is_a_domain_error(self):
+        # F_nu overflows at the small-s end of the grid: no count of inf signs
+        with pytest.raises(DomainError, match="^nu = 1.7e\\+308, E = -1e-12: F_nu"):
+            count_sign_changes(1.7e308, [0.0, 1.0])
 
     def test_none_at_or_above_threshold(self):
         for nu in NUS:

@@ -158,6 +158,13 @@ class TestIsTopExtension:
         T = ExtensionParameter.scalar(100.0, np.array([[0.0], [1.0]]), g)
         assert not is_top_extension(T, tq)
 
+    @pytest.mark.parametrize("t", [1e155, 1e300])
+    def test_huge_interval_level_is_top(self, t):
+        # the scale is the largest |entry|: a norm squares t and overflows
+        model = interval.deficiency_model()
+        assert is_top_extension(ExtensionParameter.scalar(t, model.V_basis, model.gram),
+                                build_q(model))
+
     def test_matrix_parameter(self):
         g = np.eye(2)
         model = DeficiencyModel(m_S=1.0, gram=g, V_basis=np.eye(2),

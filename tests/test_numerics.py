@@ -235,6 +235,33 @@ class TestDigamma:
         with pytest.raises(DomainError):
             digamma(-1.5)
 
+    def test_array_is_the_float_call_per_entry(self):
+        # the recurrence (z < 10), the tail alone, and z*z overflowing (1e200):
+        # only np.log and math.log may differ, by an ulp of the summed terms
+        z = np.concatenate([np.linspace(1e-3, 9.999, 500), np.geomspace(10.0, 1e300, 300),
+                            [1e-300, 1e200, 1e155, 1.3e154]])
+        values = digamma(z)
+        assert values.shape == z.shape
+        for x, value in zip(z.tolist(), values.tolist()):
+            shifted, terms = x, 0.0
+            while shifted < 10.0:
+                terms += 1.0 / shifted
+                shifted += 1.0
+            terms += abs(math.log(shifted)) + 0.5 / shifted + 1.0 / (12.0 * shifted * shifted)
+            assert abs(value - digamma(x)) <= 4.0 * math.ulp(terms)
+
+    def test_array_leaves_its_argument(self):
+        z = np.array([0.5, 20.0])
+        digamma(z)
+        assert z.tolist() == [0.5, 20.0]
+
+    @pytest.mark.parametrize("z, first", [([1.0, 0.0, -1.0], "0.0"),
+                                          ([2.0, math.nan], "nan"),
+                                          ([-math.inf, 3.0], "-inf")])
+    def test_array_domain_names_the_first_entry(self, z, first):
+        with pytest.raises(DomainError, match=f"^digamma needs z > 0, got {first}$"):
+            digamma(np.array(z))
+
 
 class TestIsPsd:
     def test_examples(self):

@@ -11,12 +11,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 import topext
 from topext import cli, fem, interval, kvb, point, verify
 from topext.interval import BoundaryCondition
-from topext.coulomb import alpha_threshold, classify_coulomb, coulomb_eigenvalue, script_F
+from topext.coulomb import (
+    alpha_threshold, classify_coulomb, coulomb_eigenvalue, count_sign_changes, script_F)
 from topext.numerics import DomainError
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
@@ -69,6 +71,27 @@ def test_coulomb_eigenvalue_iff_below_threshold(nu, side, log_gap):
     if E is not None:
         assert E < 0.0
         assert abs(script_F(nu, E) - alpha) <= 1e-10
+
+
+def sign_changes(values):
+    """Sign changes of a list of floats, zeros skipped."""
+    signs = [v > 0.0 for v in values if v != 0.0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@PROPERTY
+@given(log_nu=st.floats(min_value=-5.0, max_value=6.0))
+def test_coulomb_probe_on_arrays_is_the_scalar_loop(log_nu):
+    # np.log and math.log may differ by an ulp, so values are close, not equal
+    nu = 10.0 ** log_nu
+    grid = np.geomspace(1e-6, 1e4, 2001)
+    scalar = [script_F(nu, -s * s) for s in grid.tolist()]
+    F = script_F(nu, -grid * grid)
+    for f, value in zip(F.tolist(), scalar):
+        assert abs(f - value) <= 1e-15 * max(1.0, abs(value))
+    alphas = [alpha_threshold(nu) - d for d in (0.1, 1.0)]
+    assert count_sign_changes(nu, alphas) == [
+        sign_changes([value - alpha for value in scalar]) for alpha in alphas]
 
 
 def classify_or_none(classify, x):

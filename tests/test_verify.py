@@ -2,6 +2,7 @@
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from topext import coulomb, fem, interval, kvb, verify
@@ -41,10 +42,13 @@ def test_pass_does_each_piece_of_work_once(monkeypatch, grid, assemblies):
 
 def test_family_cases_decide_in_stacked_calls(monkeypatch):
     # krein-bound: one family of 40 forms, one is_top_extension call per t;
-    # coulomb-roots: F_nu on the probe grid once per nu for its two alphas
+    # coulomb-roots: F_nu on the probe grid once per nu for its two alphas,
+    # as one array call; the scalar calls are the root searches' and the
+    # checks around them, bounded since Brent's step count follows its path
     calls, levels = Counter(), []
     model = interval.deficiency_model()
     is_top_extension, count_sign_changes = kvb.is_top_extension, coulomb.count_sign_changes
+    script_F = coulomb.script_F
 
     def weighted_gram(mu):
         levels.append(mu)
@@ -60,10 +64,17 @@ def test_family_cases_decide_in_stacked_calls(monkeypatch):
     monkeypatch.setattr(interval, "deficiency_model", lambda terms=10_000: wrapped)
     monkeypatch.setattr(kvb, "is_top_extension", counted("top", is_top_extension))
     monkeypatch.setattr(coulomb, "count_sign_changes", counted("sign", count_sign_changes))
+
+    def counted_F(nu, E):
+        calls["F array" if isinstance(E, np.ndarray) else "F scalar"] += 1
+        return script_F(nu, E)
+
+    monkeypatch.setattr(coulomb, "script_F", counted_F)
     for _ in range(2):
         calls.clear()
         levels.clear()
         for only in ("krein-bound", "coulomb-roots"):
             assert [r.passed for r in verify.run(grid=200, only=only)] == [True]
-        assert calls == {"top": 50, "sign": 5}
+        assert 0 < calls.pop("F scalar") < 200
+        assert calls == {"top": 50, "sign": 5, "F array": 5}
         assert len(levels) == len(set(levels)) == 40
