@@ -171,6 +171,19 @@ def _secular_root(k: int, t: float) -> float:
     g(s) = sin(s/2) (F(s^2) - t)/s = (12 - t) sin(s/2)/s - 6 cos(s/2) on
     (2 k pi, 2 (k+1) pi), which runs from -6 cos(k pi) (-t/2 for k = 0, same
     sign) to 6 cos(k pi).  The end signs are analytic: sin(fl(k pi)) != 0.
+    Branch 0 is a Brent search on that bracket (on F itself for t <= 0).
+
+    For k >= 1, with x = s/2 and beta = 1 - t/12, g = -(6/x) h(x) where
+    h(x) = x cos x - beta sin x, so the root solves x cot x = beta, that is
+    the phase equation r(x) = x - m + arctan(beta/x) = 0 with
+    m = (k + 1/2) pi.  Its slope r'(x) = 1 - beta/(x^2 + beta^2) lies within
+    1/(2x) <= 1/(2 pi) of 1, so Newton on r converges from the start
+    x0 = m - arctan(beta/m) without a bracket; for |beta| above about 1e154
+    beta^2 is inf and r' is 1, its limit.  One Newton step on h itself,
+    h'(x) = (1 - beta) cos x - x sin x = -sin x (x^2 + beta^2 - beta)/x != 0
+    at the root, restores the last bits that arctan's rounding costs.  The
+    certificate is the bracket search's contract: g changes sign within
+    1e-15 2 (k+1) pi of the returned s, or the root is a SearchError.
     """
     if k == 0 and t <= 0.0:
         if t == 0.0:
@@ -186,11 +199,37 @@ def _secular_root(k: int, t: float) -> float:
         tol = max(1e-12 * min(1.0, -t), math.ulp(0.0))
         return bisect(f, Bracket(lo, 0.0, f(lo), -t), tol=tol)
     g = lambda s: (12.0 - t) * math.sin(0.5 * s) / s - 6.0 * math.cos(0.5 * s)
-    cos_k_pi = 1.0 if k % 2 == 0 else -1.0
     s_hi = 2.0 * (k + 1) * math.pi
-    s = bisect(g, Bracket(2.0 * k * math.pi, s_hi, -6.0 * cos_k_pi, 6.0 * cos_k_pi),
-               tol=1e-15 * s_hi)
+    tol = 1e-15 * s_hi
+    if k == 0:
+        s = bisect(g, Bracket(0.0, s_hi, -6.0, 6.0), tol=tol)
+        return s * s
+    m = (k + 0.5) * math.pi
+    beta = 1.0 - t / 12.0
+    x = m - math.atan(beta / m)
+    for _ in range(_PHASE_STEPS):
+        dx = (x - m + math.atan(beta / x)) / (1.0 - beta / (x * x + beta * beta))
+        x -= dx
+        if abs(dx) <= 4e-16 * x:
+            break
+    s = 2.0 * _polish(x, beta)
+    cos_k_pi = 1.0 if k % 2 == 0 else -1.0
+    if not cos_k_pi * g(s - tol) < 0.0 < cos_k_pi * g(s + tol):
+        raise SearchError(f"t = {t!r}, branch k = {k}: g(s) has no sign change "
+                          f"within {tol:.3g} of s = {s!r}")
     return s * s
+
+
+# Newton steps on the phase function; at most 4 were needed over 1.1e6 (t, k)
+# pairs with k <= 320 and |t| up to 1.8e308, and the certificate judges the
+# result whatever the count
+_PHASE_STEPS = 8
+
+
+def _polish(x: float, beta: float) -> float:
+    """One Newton step on h(x) = x cos x - beta sin x."""
+    cos, sin = math.cos(x), math.sin(x)
+    return x - (x * cos - beta * sin) / ((1.0 - beta) * cos - x * sin)
 
 
 def spectrum(t: float, cutoff: float = 200.0) -> IntervalSpectrum:

@@ -182,16 +182,22 @@ def build_q(model: DeficiencyModel, mu: Union[None, float, np.ndarray] = None) -
     """Assemble q_mu[v] = mu ||v||^2 + mu^2 <v, (S_F - mu)^{-1} v> on the V
     basis, for one level mu or for each level of a 1-D array (a family of m
     forms, one weighted_gram call per level).  mu defaults to m(S), where
-    q_mu is T_q, built once per model; errors out when V is trivial or a
-    level is non-finite or above m(S)."""
+    q_mu is T_q, built once per model; errors out when V is trivial, or a
+    level is non-finite, above m(S) or so low that q_mu overflows (a
+    DomainError naming the first such level)."""
     levels = np.array(model.m_S if mu is None else mu, dtype=float)
     if levels.ndim > 1:
         raise DomainError(f"mu has shape {levels.shape}; a level or a 1-D array "
                           "of levels is required")
-    for level in levels.flat:
+    for level in levels.ravel().tolist():
         reject_nonfinite(mu=level)
         if level > model.m_S:
-            raise DomainError(f"mu = {float(level)!r} exceeds m(S) = {model.m_S}")
+            raise DomainError(f"mu = {level!r} exceeds m(S) = {model.m_S}")
+        # below about -1.3e154 mu^2 overflows, and q_mu with it: refused before
+        # weighted_gram is asked for the level
+        if level * level == math.inf:
+            raise DomainError(f"mu = {level!r}: q_mu = mu ||v||^2 + "
+                              "mu^2 <v, (S_F - mu)^-1 v> overflows a float")
     if levels.ndim == 0 and levels == model.m_S:
         return model.T_q
     return _assemble_q(model, levels)

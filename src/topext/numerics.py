@@ -8,6 +8,7 @@ Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
@@ -175,17 +176,21 @@ _PSI_ASYMP = (
 
 _PSI_SHIFT = 10.0
 
+# 1/z overflows at and below this z, where psi(z) ~ -1/z - gamma is no float
+_PSI_TINY = 1.0 / sys.float_info.max
+
 
 def digamma(z: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """psi(z) for z > 0 via upward recurrence plus an asymptotic series.
 
     z is a float, or an ndarray for which psi is taken entrywise: each entry
     goes through the float path's steps, with numpy's log for math.log, and
-    the first entry that is not > 0 is named in the DomainError."""
+    the first entry outside the domain is named in the DomainError.  The
+    domain is z > 1/DBL_MAX (about 5.6e-309): below it 1/z overflows."""
     if isinstance(z, np.ndarray):
         return _digamma_array(z)
-    if not z > 0:
-        raise DomainError(f"digamma needs z > 0, got {z}")
+    if not z > _PSI_TINY:
+        raise DomainError(_domain_message(z))
     acc = 0.0
     while z < _PSI_SHIFT:
         acc -= 1.0 / z
@@ -199,11 +204,17 @@ def digamma(z: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     return acc + math.log(z) - 0.5 / z + tail
 
 
+def _domain_message(z: float) -> str:
+    if z > 0:
+        return f"digamma(z) ~ -1/z overflows a float, got z = {z}"
+    return f"digamma needs z > 0, got {z}"
+
+
 def _digamma_array(z: np.ndarray) -> np.ndarray:
     z = np.array(z, dtype=float)  # a copy: the recurrence shifts it in place
-    bad = ~(z > 0)
+    bad = ~(z > _PSI_TINY)
     if bad.any():
-        raise DomainError(f"digamma needs z > 0, got {float(z.flat[bad.argmax()])}")
+        raise DomainError(_domain_message(float(z.flat[bad.argmax()])))
     acc = np.zeros_like(z)
     low = z < _PSI_SHIFT
     while low.any():  # the recurrence, masked to the entries still below the shift

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topext import interval, kvb
 from topext.interval import ConvergenceError, PoleError
-from topext.numerics import DomainError, integrate
+from topext.numerics import DomainError, SearchError, integrate
 
 PI2 = math.pi ** 2
 
@@ -238,3 +239,50 @@ class TestSearchBudgets:
             for r in roots:
                 width = 1e-12 * abs(r)
                 assert interval.secular_F(r - width) <= t <= interval.secular_F(r + width)
+
+
+def phase_root(t, k, mpmath):
+    """The branch-k root lambda = (2x)^2 of x cot x = 1 - t/12 at 40 digits:
+    Newton on r(x) = x - (k + 1/2) pi + arctan(beta/x), whose slope lies
+    within 1/(2 pi) of 1 for x >= pi."""
+    with mpmath.workdps(40):
+        m = (k + mpmath.mpf(1) / 2) * mpmath.pi
+        beta = 1 - mpmath.mpf(t) / 12
+        x = m - mpmath.atan(beta / m)
+        for _ in range(12):
+            dx = (x - m + mpmath.atan(beta / x)) / (1 - beta / (x * x + beta * beta))
+            x -= dx
+        assert abs(dx) <= mpmath.mpf(10) ** -36 * x
+        return (2 * x) ** 2
+
+
+class TestBranchRoots:
+    @pytest.mark.parametrize("t, count", [(5e3, 22), (-50.0, 23)])
+    def test_one_brent_search_per_spectrum(self, t, count, monkeypatch):
+        # branches k >= 1 take the Newton steps; only the bottom is searched
+        brent = interval.bisect
+        calls = []
+
+        def counted(f, bracket, tol):
+            calls.append(bracket)
+            return brent(f, bracket, tol=tol)
+        monkeypatch.setattr(interval, "bisect", counted)
+        interval._lowest_root.cache_clear()
+        roots = interval.spectrum(t, 20000.0).secular_roots
+        assert len(roots) == count and len(calls) == 1
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(t=st.one_of(st.floats(min_value=-1e13, max_value=1e13),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+           k=st.integers(min_value=1, max_value=22))
+    def test_within_4_ulps_of_40_digit_roots(self, t, k):
+        mpmath = pytest.importorskip("mpmath")
+        root = interval._secular_root(k, t)
+        exact = phase_root(t, k, mpmath)
+        assert abs(mpmath.mpf(root) - exact) <= 4 * math.ulp(float(exact)), (t, k, root)
+
+    def test_failed_certificate_names_t_and_k(self, monkeypatch):
+        polish = interval._polish
+        monkeypatch.setattr(interval, "_polish", lambda x, beta: polish(x, beta) + 1e-9)
+        with pytest.raises(SearchError, match=r"^t = 5000\.0, branch k = 3: "):
+            interval._secular_root(3, 5e3)

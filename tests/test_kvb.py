@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -254,6 +255,17 @@ class TestOneForm:
                     build_q(model, levels)
         with pytest.raises(DomainError, match="mu"):
             build_q(model, [[0.5]])
+
+    @pytest.mark.parametrize("make", MODELS)
+    @pytest.mark.parametrize("mu", [-1e160, -1e200])
+    def test_q_mu_overflow_names_its_level(self, make, mu):
+        # mu^2 overflows: a DomainError naming mu, not [[inf]] and a raw warning
+        model = make()
+        match = f"^{re.escape(f'mu = {mu!r}:')} q_mu .* overflows a float$"
+        with pytest.raises(DomainError, match=match):
+            build_q(model, mu)
+        with pytest.raises(DomainError, match=match):
+            build_q(model, np.array([-3.0, mu, -1e300, 0.5]))
 
     def test_t_q_is_built_once_per_model(self):
         levels = []

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +235,22 @@ class TestDigamma:
             digamma(0.0)
         with pytest.raises(DomainError):
             digamma(-1.5)
+
+    @pytest.mark.parametrize("z", [5e-324, 1e-310, 1.0 / sys.float_info.max])
+    def test_subnormal_z_where_one_over_z_overflows(self, z):
+        # psi(z) ~ -1/z - gamma is below -DBL_MAX there: an error naming z,
+        # not -inf, on the float path and the array path alike
+        message = "^" + re.escape(f"digamma(z) ~ -1/z overflows a float, got z = {z}") + "$"
+        with pytest.raises(DomainError, match=message):
+            digamma(z)
+        with pytest.raises(DomainError, match=message):
+            digamma(np.array([2.0, 1e-300, z, 5e-324]))
+
+    def test_smallest_z_with_a_float_psi(self):
+        z = math.nextafter(1.0 / sys.float_info.max, 1.0)
+        assert -sys.float_info.max <= digamma(z) < -1.79e308
+        assert digamma(1e-300) == -9.999999999999999e+299
+        assert digamma(np.array([1e-300, z])).tolist() == [digamma(1e-300), digamma(z)]
 
     def test_array_is_the_float_call_per_entry(self):
         # the recurrence (z < 10), the tail alone, and z*z overflowing (1e200):
