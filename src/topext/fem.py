@@ -8,8 +8,6 @@ integration by parts.  Discrete bottoms over-estimate the analytic ones
 
 Every constraint is the fold u_n = c u_0, with b1 added at node 0, on the
 nodes first..n-1: 0..n-1, or 1..n-1 for Dirichlet, which is c = b1 = 0.
-`assemble` holds the pencil (K, M) as bands (tridiagonal plus the fold's
-corner pair).
 
 The solver reads the pencil's structure.  On nodes 1..n-1, K - lambda M is
 the same symmetric Toeplitz tridiagonal block T(lambda) under every
@@ -38,7 +36,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,48 +57,25 @@ def AntiPeriodicRobin(b: float = 0.0) -> BoundaryCondition:
     return BoundaryCondition.one_dim_a(b, -1.0)
 
 
-class Bands(NamedTuple):
-    """A symmetric matrix of order diag.size: diagonal `diag`, first
-    off-diagonal `off`, and the fold's entry `corner` at (0, dim-1) and
-    (dim-1, 0), which is 0 under Dirichlet."""
-
-    diag: np.ndarray
-    off: np.ndarray
-    corner: float
-
-
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Stiffness K and mass M of order dim, as bands.  The solvers read only
-    n and the constraint, whose pencil K and M are: they hold it for forms
-    and for dense references."""
+    """The P1 pencil (K, M) on n elements under the constraint bc, of order
+    dim on the nodes first..n-1: n and bc are all that the solvers read."""
 
     n: int
     bc: BoundaryCondition
-    K: Bands
-    M: Bands
-
-    @property
-    def dim(self) -> int:
-        return self.K.diag.size
 
     @property
     def first(self) -> int:
-        """The first node kept: the constraint keeps nodes first..n-1."""
-        return self.n - self.dim
+        return int(self.bc.variant == "dirichlet")  # Dirichlet drops node 0, where u_0 = 0
 
-
-def _constrained(n: int, first: int, c: float, diag: float, off: float, b1: float) -> Bands:
-    """The matrix whose element matrices are [[diag, off], [off, diag]]
-    after the fold u_n = c u_0, which is P^T A P for P = [I; c e_0^T] and so
-    changes only row and column 0, on the nodes first..n-1."""
-    d = np.full(n, diag + diag)
-    d[0] = diag + c * (c * diag) + b1  # nodes 0 and n belong to one element each
-    return Bands(d[first:], np.full(n - 1, off)[first:], c * off)
+    @property
+    def dim(self) -> int:
+        return self.n - self.first
 
 
 def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
-    """Stiffness/mass pair with the boundary constraint folded in."""
+    """The P1 pencil on n elements under bc, after checking that bc has a real symmetric form."""
     reject_noninteger(n=n)
     if n < 8:
         raise DomainError(f"n = {n}: grid too coarse, need n >= 8")
@@ -112,14 +86,9 @@ def assemble(n: int, bc: BoundaryCondition) -> DiscreteOperator:
     if isinstance(bc.c, complex):
         raise UnsupportedBCError(f"complex coupling c = {bc.c!r} has no real symmetric form")
     reject_nonfinite(b1=bc.b1, c=bc.c)
-    first = int(bc.variant == "dirichlet")  # Dirichlet drops node 0, where u_0 = 0
-    if first and (bc.b1, bc.c) != (0.0, 0.0):
+    if bc.variant == "dirichlet" and (bc.b1, bc.c) != (0.0, 0.0):
         raise UnsupportedBCError(f"{bc}: Dirichlet is the fold with b1 = c = 0")
-    h = 1.0 / n
-    # element matrices [[1, -1], [-1, 1]] / h and [[2, 1], [1, 2]] h / 6
-    K = _constrained(n, first, bc.c, 1.0 / h, -1.0 / h, bc.b1)
-    M = _constrained(n, first, bc.c, 2.0 * h / 6.0, h / 6.0, 0.0)
-    return DiscreteOperator(n=n, bc=bc, K=K, M=M)
+    return DiscreteOperator(n, bc)
 
 
 class _Spectrum:
@@ -210,14 +179,17 @@ def count_below(op: DiscreteOperator, sigma: float) -> int:
 
 
 def resolvent_form(op: DiscreteOperator, sigma: float, b: np.ndarray) -> float:
-    """b^T (K - sigma M)^-1 b: sum_j (v_j^T b)^2 / (k_j - sigma m_j) over the
-    block's modes, plus node 0's share (b_0 - r^T T^-1 b)^2 / g(sigma) after
-    a fold.  A sigma at which K - sigma M is not positive definite (below
-    the lowest pole and, after a fold, g(sigma) > 0) is a DomainError naming
-    sigma."""
+    """b^T (K - sigma M)^-1 b = sum_j (v_j^T b)^2 / (k_j - sigma m_j) over the
+    block's modes, plus node 0's share (b_0 - r^T T^-1 b)^2 / g(sigma) after a
+    fold.  A DomainError names sigma where K - sigma M is not positive
+    definite, the first non-finite entry of b, or n and bc on an overflow."""
     b = np.asarray(b, dtype=float)
     if b.shape != (op.dim,):
         raise DomainError(f"b has shape {b.shape}; need ({op.dim},), one entry per node")
+    bad = ~np.isfinite(b)
+    if bad.any():
+        i = int(bad.argmax())
+        raise DomainError(f"b[{i}] is {b[i]}; a finite number is required")
     reject_nonfinite(sigma=sigma)
     spec = _Spectrum(op)
     g = math.inf if op.first else spec.g(sigma)
@@ -227,14 +199,17 @@ def resolvent_form(op: DiscreteOperator, sigma: float, b: np.ndarray) -> float:
                           "lie below sigma)")
     n = op.n
     scale = math.sqrt(2.0 / n)
-    mu = 4.0 * n * spec.sin ** 2 - sigma * spec.den / (3.0 * n)  # k_j - sigma m_j
-    vb = scale * _dst(b if op.first else b[1:])
-    form = float(np.sum(vb * vb / mu))
-    if op.first:
-        return form
-    w = 2.0 * scale * spec.sin * spec.cos * (1.0 + op.bc.c * spec.odd)
-    rb = (-n - sigma / (6.0 * n)) * float(np.sum(w * vb / mu))  # r^T T^-1 b
-    return form + (b[0] - rb) ** 2 / g
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        mu = 4.0 * n * spec.sin ** 2 - sigma * spec.den / (3.0 * n)  # k_j - sigma m_j
+        vb = scale * _dst(b if op.first else b[1:])
+        form = float(np.sum(vb * vb / mu))
+        if not op.first:
+            w = 2.0 * scale * spec.sin * spec.cos * (1.0 + op.bc.c * spec.odd)
+            rb = (-n - sigma / (6.0 * n)) * float(np.sum(w * vb / mu))  # r^T T^-1 b
+            form += (b[0] - rb) ** 2 / g
+    if not math.isfinite(form):
+        raise DomainError(f"n = {n}, bc = {op.bc}, sigma = {sigma!r}: the form overflows")
+    return form
 
 
 def lowest_eigenvalues(op: DiscreteOperator, k: int) -> np.ndarray:

@@ -77,8 +77,8 @@ def bisect(f: Callable[[float], float], b: Bracket, tol: float = 1e-12) -> float
     returns the secant point of that bracket: a sign change of f lies within
     tol of it, or within one float spacing when tol is below that spacing.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not tol > 0:
+        raise DomainError(f"tol = {tol}: tol must be positive")
     # x is the estimate and c the other end of the bracket, with |f(x)| <=
     # |f(c)|; a is the previous x.  Sides are chosen by signs, not by f_x *
     # f_c, which underflows to 0 once both values are below about 1e-154
@@ -144,6 +144,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels:
     The weighted values are summed in order, panel by panel and node by node,
     not pairwise; a non-finite value is an EvaluationError naming the first
     such node in that order."""
+    reject_nonfinite(a=a, b=b)
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
     if panels < 1:

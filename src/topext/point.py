@@ -48,7 +48,9 @@ def deficiency_model_point() -> DeficiencyModel:
             value = regularized
         else:
             value = radial_integral(
-                lambda r: r * r / ((1.0 + r * r) ** 2 * (r * r + 1.0 - mu)))
+                # divided in stages: the product of the denominators overflows
+                # for mu below about -1e293
+                lambda r: r * r / (1.0 + r * r) ** 2 / (r * r + 1.0 - mu))
         return np.array([[value]])
 
     return DeficiencyModel(

@@ -36,17 +36,21 @@ def free_matrices(n):
     return K, M
 
 
-def dense_bands(B):
-    """The dense matrix that fem.Bands holds: diagonal, off-diagonal and
-    the corner pair (0, dim-1), (dim-1, 0), which is 0 under Dirichlet."""
-    A = np.diag(B.diag) + np.diag(B.off, 1) + np.diag(B.off, -1)
-    A[0, -1] += B.corner
-    A[-1, 0] += B.corner
-    return A
-
-
 def dense(op):
-    return dense_bands(op.K), dense_bands(op.M)
+    """The reference pencil (K, M) of op, built from the element matrices and
+    not from fem: the restriction to nodes 1..n-1 under Dirichlet, and
+    otherwise the fold u_n = c u_0 as P^T A P for P = [I; c e_0^T], with b1
+    added to K at node 0."""
+    n, bc = op.n, op.bc
+    K, M = free_matrices(n)
+    if bc.variant == "dirichlet":
+        return K[1:-1, 1:-1], M[1:-1, 1:-1]
+    P = np.zeros((n + 1, n))
+    P[:n, :n] = np.eye(n)
+    P[n, 0] = bc.c
+    K, M = P.T @ K @ P, P.T @ M @ P
+    K[0, 0] += bc.b1
+    return K, M
 
 
 def sturm_count(d, e):
@@ -67,15 +71,14 @@ def sturm_count(d, e):
     return count
 
 
-def banded_count_below(op, sigma):
-    """Reference count on the dense matrices: A = K - sigma M, node 0 split
+def banded_count_below(K, M, sigma):
+    """Reference count on the dense pencil: A = K - sigma M, node 0 split
     off, T^-1 r from a pivoted banded solve, and the Sturm count above for
     T."""
-    K, M = dense(op)
     A = K - sigma * M
     d, e = A.diagonal(), A.diagonal(1)
     r = A[1:, 0]
-    T = np.zeros((3, op.dim - 1))
+    T = np.zeros((3, A.shape[0] - 1))
     T[0, 1:], T[1], T[2, :-1] = e[1:], d[1:], e[1:]
     y = scipy.linalg.solve_banded((1, 1), T, r, check_finite=False)
     return sturm_count(d[1:], e[1:]) + int(d[0] - r @ y < 0.0)
@@ -93,6 +96,8 @@ class TestAssembly:
         assert fem.assemble(16, Periodic()).dim == 16
         assert fem.assemble(16, AntiPeriodicRobin(1.0)).dim == 16
         assert fem.assemble(np.int64(16), Periodic()).dim == 16
+        # the operator is its grid and constraint; the solvers read the pencil's closed forms
+        assert fem.assemble(16, Periodic()) == fem.DiscreteOperator(16, Periodic())
 
     @pytest.mark.parametrize("n", [4, 100.5, 100.0, math.nan])
     def test_too_coarse(self, n):
@@ -154,26 +159,6 @@ class TestAssembly:
         for b in (0.0, -4.0, 1.5):
             assert AntiPeriodicRobin(b) == BoundaryCondition.one_dim_a(b, -1.0)
 
-    @pytest.mark.parametrize("c", [1.0, -1.0, 0.3, 0.0])
-    def test_fold_equals_dense_projection(self, c):
-        # reference: u_n = c u_0 imposed by P = [I; c e_0^T] as P^T A P
-        n, b1 = 200, -2.5
-        K, M = free_matrices(n)
-        P = np.zeros((n + 1, n))
-        P[:n, :n] = np.eye(n)
-        P[n, 0] = c
-        K_ref, M_ref = P.T @ K @ P, P.T @ M @ P
-        K_ref[0, 0] += b1
-        K_op, M_op = dense(fem.assemble(n, BoundaryCondition.one_dim_a(b1, c)))
-        assert np.array_equal(K_op, K_ref)
-        assert np.array_equal(M_op, M_ref)
-
-    def test_dirichlet_equals_dense_restriction(self):
-        K, M = free_matrices(100)
-        K_op, M_op = dense(fem.assemble(100, BoundaryCondition.dirichlet()))
-        assert np.array_equal(K_op, K[1:-1, 1:-1])
-        assert np.array_equal(M_op, M[1:-1, 1:-1])
-
     def test_import_loads_no_scipy(self):
         # the oracle and the verification matrix run on numpy alone
         code = ("import sys; import topext.verify; "
@@ -181,25 +166,6 @@ class TestAssembly:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.strip() == "[]"
-
-    def test_exactly_symmetric(self):
-        for bc in (BoundaryCondition.dirichlet(), BoundaryCondition.one_dim_a(0.5, 0.3),
-                   Periodic(), AntiPeriodicRobin(-3.0)):
-            K, M = dense(fem.assemble(64, bc))
-            assert np.array_equal(K, K.T), bc
-            assert np.array_equal(M, M.T), bc
-
-    def test_mass_positive_definite(self):
-        for bc in (Periodic(), AntiPeriodicRobin(-3.0),
-                   BoundaryCondition.dirichlet()):
-            K, M = dense(fem.assemble(32, bc))
-            assert np.all(np.linalg.eigvalsh(M) > 0)
-            assert np.allclose(K, K.T)
-
-    def test_row_sums_free_part(self):
-        # interior stiffness rows sum to zero (constants are flat)
-        K, _ = dense(fem.assemble(32, Periodic()))
-        assert np.allclose(K.sum(axis=1), 0.0, atol=1e-12)
 
 
 class TestFormConsistency:
@@ -333,21 +299,23 @@ class TestSecularSolver:
         # vanishes, and with it node 0's coupling to the block; at
         # lambda_j (1 -+ 1e-10) the count must still separate lambda_j
         op = fem.assemble(n, bc)
-        ref = scipy.linalg.eigh(*dense(op), eigvals_only=True)
+        K, M = dense(op)
+        ref = scipy.linalg.eigh(K, M, eigvals_only=True)
         split = [-6.0 * n * n * (1.0 + r)
                  for r in (-1e-8, -1e-12, -1e-16, 0.0, 1e-16, 1e-12, 1e-8)]
         near = [lam * (1.0 + s) for lam in ref[:5] if abs(lam) > 1e-6 for s in (-1e-10, 1e-10)]
         assert len(near) >= 8
         for sigma in split + near:
             count = fem.count_below(op, sigma)
-            assert count == banded_count_below(op, sigma) == np.sum(ref < sigma), sigma
+            assert count == banded_count_below(K, M, sigma) == np.sum(ref < sigma), sigma
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(bc=CONDITIONS, n=st.integers(8, 300), data=st.data())
     def test_count_equals_banded_and_dense_counts(self, bc, n, data):
         # sigma lies between eigenvalues j - 1 and j (or outside the spectrum)
         op = fem.assemble(n, bc)
-        ref = scipy.linalg.eigh(*dense(op), eigvals_only=True)
+        K, M = dense(op)
+        ref = scipy.linalg.eigh(K, M, eigvals_only=True)
         j = data.draw(st.integers(0, op.dim), label="j")
         lo = ref[j - 1] if j > 0 else ref[0] - 10.0 - abs(ref[0])
         hi = ref[j] if j < op.dim else 1.5 * ref[-1] + 10.0
@@ -355,7 +323,7 @@ class TestSecularSolver:
         sigma = lo + u * (hi - lo)
         assume(np.min(np.abs(ref - sigma)) > 1e-9 * max(1.0, abs(sigma)))
         count = fem.count_below(op, sigma)
-        assert count == banded_count_below(op, sigma) == np.sum(ref < sigma)
+        assert count == banded_count_below(K, M, sigma) == np.sum(ref < sigma)
 
     @pytest.mark.parametrize("n", [64, 504])
     def test_count_around_double_periodic_eigenvalues(self, n):
@@ -443,6 +411,24 @@ class TestResolventForm:
             fem.resolvent_form(op, 20.0, np.ones(op.dim))
         with pytest.raises(DomainError, match=r"^b has shape \(40,\); need \(39,\)"):
             fem.resolvent_form(op, 0.0, np.ones(40))
+
+    def test_nonfinite_load_is_a_domain_error(self):
+        op = fem.assemble(16, BoundaryCondition.dirichlet())
+        b = np.ones(op.dim)
+        b[3] = math.nan
+        with pytest.raises(DomainError, match=r"^b\[3\] is nan; a finite number is required"):
+            fem.resolvent_form(op, 0.0, b)
+        with pytest.raises(DomainError, match=r"^b\[0\] is nan"):
+            fem.resolvent_form(op, 0.0, np.full(op.dim, math.nan))
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(), AntiPeriodicRobin(1.0)], ids=str)
+    def test_overflowing_form_is_a_domain_error(self, bc):
+        # each entry is finite, but their DST and the form leave the float
+        # range: named, not a nan under numpy's raw RuntimeWarnings
+        op = fem.assemble(16, bc)
+        message = rf"^n = 16, bc = {re.escape(str(bc))}, sigma = 0\.0: the form overflows$"
+        with pytest.raises(DomainError, match=message):
+            fem.resolvent_form(op, 0.0, np.full(op.dim, 1e308))
 
 
 def exact_pencil(n, bc):
@@ -547,7 +533,7 @@ class TestExactBottoms:
             assert abs(fem.discrete_bottom(fem.assemble(n, bc)) - exact) <= 4 * math.ulp(exact), bc
 
     def test_zero_bottoms_are_zero_to_rounding(self):
-        # at n = 4096 the stored K is exact and K 1 = 0, K (1 - 2x) = -4 e_0
+        # at n = 4096 the entries of K are exact and K 1 = 0, K (1 - 2x) = -4 e_0
         n = 4096
         assert abs(fem.discrete_bottom(fem.assemble(n, Periodic()))) <= 1e-14
         assert abs(fem.discrete_bottom(fem.assemble(n, AntiPeriodicRobin(-4.0)))) <= 1e-14

@@ -57,6 +57,12 @@ class TestBisect:
         root = bisect(f, Bracket(1.0, 2.0, f(1.0), f(2.0)), tol=1e-10)
         assert f(root - 1e-10) * f(root + 1e-10) < 0
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_tol_that_is_not_positive_is_a_domain_error(self, tol):
+        f = lambda x: x - 0.5
+        with pytest.raises(DomainError, match=f"^tol = {tol}: tol must be positive"):
+            bisect(f, Bracket(0.0, 1.0, -0.5, 0.5), tol=tol)
+
 
 def root_of(f, lo, hi, tol):
     """The root bisect returns on [lo, hi], and the evaluations of f it made."""
@@ -192,6 +198,15 @@ class TestIntegrate:
             integrate(f, 0.0, 1.0, 4, 1)
         with pytest.raises(DomainError, match="panels must be >= 1"):
             integrate(f, 0.0, 1.0, 0, 5)
+
+    @pytest.mark.parametrize("a, b, named", [(-math.inf, 1.0, "a is -inf"),
+                                             (0.0, math.inf, "b is inf"),
+                                             (math.nan, 1.0, "a is nan"),
+                                             (0.0, math.nan, "b is nan")])
+    def test_nonfinite_end_is_a_domain_error(self, a, b, named):
+        # named before linspace spreads it over the nodes with raw warnings
+        with pytest.raises(DomainError, match=f"^{named}; a finite number is required"):
+            integrate(lambda x: x, a, b, 2, 2)
 
     def test_nonfinite_integrand(self):
         with pytest.raises(EvaluationError):

@@ -76,6 +76,15 @@ class TestDeficiencyModel:
             exact = PI2 / (1.0 + math.sqrt(1.0 - mu)) ** 2
             assert float(model.weighted_gram(float(mu))[0, 0]) == pytest.approx(exact, rel=1e-13)
 
+    @pytest.mark.parametrize("mu, rel", [(-1e300, 1e-14), (-1.7e308, 1e-11)])
+    def test_weighted_entry_at_far_negative_mu(self, mu, rel):
+        # (1 + r^2)^2 (r^2 + 1 - mu) leaves the float range at the large-r
+        # nodes; the integrand divides in stages, so no node is lost and no
+        # RuntimeWarning (an error under the suite's filter) is raised
+        exact = PI2 / (1.0 + math.sqrt(1.0 - mu)) ** 2
+        value = float(point.deficiency_model_point().weighted_gram(mu)[0, 0])
+        assert value == pytest.approx(exact, rel=rel)
+
     def test_monotone_in_mu(self):
         model = point.deficiency_model_point()
         vals = [float(model.weighted_gram(float(mu))[0, 0])

@@ -1,4 +1,5 @@
-"""A verification pass does each piece of work once, and keeps none of it."""
+"""A verification pass does each piece of work once, and keeps none of it;
+and it fails where the pencil the FEM oracle solves is perturbed."""
 import dataclasses
 from collections import Counter
 
@@ -78,3 +79,44 @@ def test_family_cases_decide_in_stacked_calls(monkeypatch):
         assert 0 < calls.pop("F scalar") < 200
         assert calls == {"top": 50, "sign": 5, "F array": 5}
         assert len(levels) == len(set(levels)) == 40
+
+
+def failed_cases():
+    return [r.case for r in verify.run(grid=200) if not r.passed]
+
+
+def test_oracle_stiffness_mutant_fails_its_records(monkeypatch):
+    # b0 = b1 + (c - 1)^2 is (K u)_0 for the linear u of the fold: off by
+    # 1e-6, the negative-b classify records and named-periodic fail
+    init = fem._Spectrum.__init__
+
+    def mutant(self, op):
+        init(self, op)
+        if not op.first:
+            self.b0 += 1e-6
+
+    monkeypatch.setattr(fem._Spectrum, "__init__", mutant)
+    assert failed_cases() == ["interval-classify-b=-0.25", "interval-classify-b=-1",
+                              "interval-classify-b=-4", "named-periodic"]
+
+
+def test_oracle_mass_mutant_fails_its_records(monkeypatch):
+    # the pencil (K, s M), s = 1 + 1e-7, in the solver's closed forms: the
+    # poles k_j / (s m_j), k_j - sigma s m_j, and g of (K, M) at s lambda
+    s = 1.0 + 1e-7
+    init, g = fem._Spectrum.__init__, fem._Spectrum.g
+
+    def mutant(self, op):
+        init(self, op)
+        self.poles, self.den = self.poles / s, self.den * s
+        if not op.first:
+            self.live, self.dead = self.live / s, self.dead / s
+
+    monkeypatch.setattr(fem._Spectrum, "__init__", mutant)
+    monkeypatch.setattr(fem._Spectrum, "g", lambda self, lam: g(self, s * lam))
+    # the zero bottoms (b = -4, periodic) stay 0, and the convergence
+    # orders stay inside their window
+    assert failed_cases() == [
+        "interval-classify-b=-0.25", "interval-classify-b=-1", "interval-classify-b=0",
+        "interval-classify-b=0.5", "interval-classify-b=5", "interval-classify-b=50",
+        "named-antiperiodic", "named-dirichlet", "variational-sup"]
